@@ -43,7 +43,7 @@ def test_profiles_reused_across_devices(harness, artifact_store, benchmark):
     assert reuse.get("profile", 0) >= num_sub_scenes
     assert artifact_store.stats.reuse_count - before >= num_sub_scenes
     assert len(artifact_store) >= num_sub_scenes
-    assert report.backend_name in {"serial", "thread", "process", "cluster"}
+    assert report.backend_name in {"serial", "thread", "process"}
 
     print(
         f"\nArtifact store after two devices on scene4: "

@@ -13,8 +13,8 @@ workload, stage by stage:
    of every stage.
 
 Run with:  python examples/quickstart.py
-Select an execution backend with REPRO_BACKEND=serial|thread|process|cluster
-(see examples/sharded_evaluation.py for the cluster backend in detail).
+Select an execution backend with REPRO_BACKEND=serial|thread|process
+(see examples/sharded_evaluation.py for the process backend in detail).
 Set REPRO_ARTIFACT_DIR=... to persist profile curves and baked models on
 disk — a second invocation then skips the profile and bake stages entirely
 (compare the stage timings of two consecutive runs).

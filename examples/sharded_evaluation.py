@@ -1,21 +1,19 @@
-"""Sharded scene evaluation: the cluster backend, worker count by worker count.
+"""Sharded scene evaluation: the process backend, worker count by worker count.
 
 The paper's per-object decomposition makes every heavy pipeline stage
 shardable: profile fits shard by object, bake geometry by sub-model and
 deploy ray marching by chunk.  This example runs the same staged pipeline
-under the serial reference and then under the cluster backend with
+under the serial reference and then under the process backend with
 increasing worker counts, verifying along the way that every run is
 **bit-identical** (sharding is a pure scheduling decision, never a
-numerical one) and printing the wall-clock split plus the cluster's
-scheduling statistics: shards planned/dispatched, speculative steals,
-store-discounted items, and the worker-lifecycle counters — daemons
-spawned vs *reused* across the pipeline's consecutive maps through the
-host's callable-token registry.
+numerical one) and printing the wall-clock split plus the worker-host
+counters: task generations installed, daemons spawned vs maps that
+*reused* the live daemons through the host's callable-token registry, and
+worker deaths revived.
 
 Run with:  python examples/sharded_evaluation.py
-Set REPRO_ARTIFACT_DIR=... to share an on-disk artifact store with the
-workers — already-persisted profiles and bakes then show up as cheap
-shards in the planner and are loaded, not recomputed, inside the workers.
+Set REPRO_ARTIFACT_DIR=... to persist profiles and bakes on disk — a
+second invocation then loads them instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import time
 from repro.core.config_space import ConfigurationSpace
 from repro.core.pipeline import NeRFlexPipeline, PipelineConfig
 from repro.device.models import IPHONE_13
-from repro.exec import ClusterBackend, SerialBackend, create_artifact_store
+from repro.exec import ProcessBackend, SerialBackend, create_artifact_store
 from repro.scenes.dataset import generate_dataset
 from repro.scenes.scene import compose_scene
 
@@ -88,31 +86,20 @@ def main() -> None:
     print(f"\nserial reference: {serial_seconds:.1f}s")
 
     for workers in (1, 2, 4):
-        backend = ClusterBackend(workers=workers)
+        backend = ProcessBackend(workers=workers)
         record, elapsed, report = run_once(backend, dataset)
         identical = "bit-identical" if record == reference else "MISMATCH"
         print(
-            f"\ncluster({workers}): "
+            f"\nprocess({workers}): "
             f"{elapsed:.1f}s  [{identical} vs serial]"
         )
-        stats = backend.stats
         host = backend.host
         print(
-            f"  shards: {stats.shards_planned} planned, "
-            f"{stats.shards_dispatched} dispatched "
-            f"({stats.speculative_dispatches} speculative steals), "
-            f"{stats.serial_fallbacks} small maps ran inline"
+            f"  worker lifecycle: {backend.fork_count} task generations, "
+            f"{host.spawn_count} daemons spawned, "
+            f"{host.reused_maps} maps fully reused the live daemons, "
+            f"{backend.worker_revivals} worker deaths revived"
         )
-        print(
-            f"  worker lifecycle: {stats.workers_spawned} daemons spawned over "
-            f"{stats.task_registrations} task registrations, "
-            f"{stats.workers_reused} daemon-reuses across {stats.maps} maps "
-            f"({stats.maps_reusing_daemons} maps respawned nothing; "
-            f"host lifetime: {host.spawn_count} spawns, "
-            f"{host.reused_maps} fully reused maps)"
-        )
-        if stats.store_cheap_items:
-            print(f"  store-aware planning: {stats.store_cheap_items} cheap items")
         stage_parts = ", ".join(
             f"{name} {seconds:.1f}s" for name, seconds in report.stage_seconds.items()
         )

@@ -328,7 +328,7 @@ def _dag_body_expr(call) -> "object | None":
 def _entry_targets(resolver, expr) -> list:
     """Qualified names an entry expression (task argument) denotes.
 
-    A factory call in task position (``self._sharded_fit_task(ds)``)
+    A factory call in task position (``self._profile_fit_task(ds)``)
     promotes the factory itself: whatever it defines and returns is
     shipped, and the closure already has edges to its nested defs.
     """

@@ -153,7 +153,7 @@ REPRO_BACKEND = register(EnvVar(
     name="REPRO_BACKEND",
     default="thread",
     parser=parse_str,
-    description="Execution backend (serial / thread / process / cluster) "
+    description="Execution backend (serial / thread / process) "
     "when the caller does not pick one.",
     consumers=("repro.exec.backends",),
     default_text='"thread"',

@@ -100,12 +100,11 @@ class PipelineConfig:
             honoured, so ``render_workers=1`` bounds even a process backend
             to one worker.
         backend: execution-backend name (``"serial"`` / ``"thread"`` /
-            ``"process"`` / ``"cluster"``); ``None`` consults the
-            ``REPRO_BACKEND`` environment variable and defaults to the
-            behaviour-preserving thread backend.  The cluster backend
-            shards stage work (objects for profile/bake, ray chunks for
-            deploy) across worker daemons — see :mod:`repro.exec.cluster`;
-            every backend produces bit-identical pipeline output.
+            ``"process"``); ``None`` consults the ``REPRO_BACKEND``
+            environment variable and defaults to the behaviour-preserving
+            thread backend.  Every backend shards stage work the same way
+            (objects for profile, sub-models for bake geometry, ray chunks
+            for deploy) and produces bit-identical pipeline output.
         kernel: hot-loop kernel backend of the render engine (``"numpy"`` /
             ``"loops"`` / ``"numba"`` / ``"auto"``); ``None`` consults
             ``REPRO_KERNEL`` (default ``auto`` — compiled when numba is
@@ -424,28 +423,10 @@ class NeRFlexPipeline:
         )
         self.measurement_cache = measurement_cache if measurement_cache is not None else {}
         self.artifacts = artifacts
-        #: Stable-identity task callable of the object-sharded profile
-        #: stage, for the most recent dataset (see :meth:`_sharded_fit_task`).
-        self._sharded_fit_task_cache: "tuple | None" = None
         self.backend = resolve_backend(
             backend if backend is not None else self.config.backend,
             workers=self.config.render_workers,
         )
-        # Store-aware scheduling: a cost-hinted backend (the cluster) shares
-        # this pipeline's on-disk artifact tier, so its planner can mark
-        # already-persisted profiles/bakes as cheap shards and its workers
-        # can serve them from disk.  Known caveat: this mutates a
-        # caller-supplied backend instance, so a backend reused across
-        # pipelines keeps the *first* pipeline's store (the write-through
-        # guard in stage_profile compares store roots, so results stay
-        # correct; only the scheduling hints would consult the older store).
-        if (
-            getattr(self.backend, "supports_cost_hints", False)
-            and getattr(self.backend, "store", None) is None
-            and self.artifacts is not None
-            and self.artifacts.disk is not None
-        ):
-            self.backend.store = self.artifacts.disk
         self.engine = engine or RenderEngine(
             chunk_rays=self.config.render_chunk_rays,
             workers=self.config.render_workers,
@@ -469,18 +450,16 @@ class NeRFlexPipeline:
         up in the artifact store first — they depend on the scene content
         and the preparation knobs, never on the device, so a store shared
         across pipelines fits each sub-scene exactly once.  Misses fan out
-        through the execution backend; worker-side time is attributed to
-        the ``"profiler"`` stage on ``timers``.
+        through the execution backend one whole object per item — the
+        paper's unit of decomposition — and worker-side time is attributed
+        to the ``"profiler"`` stage on ``timers``.
 
-        Sharding granularity follows the backend: in-process and fork-pool
-        backends parallelise each fit's *sample measurements* (the paper's
-        45-task fan-out), while an object-sharding backend
-        (``backend.shards_objects``, i.e. the cluster backend) is handed
-        whole objects — one profile fit per shard item, cost-weighted by
-        the measurements still missing and discounted for profiles already
-        in the shared on-disk store (see
-        :meth:`repro.exec.cluster.ClusterBackend.map`).  Both paths are
-        pure per object and produce bit-identical profiles.
+        Each object's fit fans its sample measurements out through the same
+        backend.  Inside a worker daemon that nested map runs serially, so
+        with several pending objects the parallelism is across objects; a
+        lone pending object runs in this process and its measurements fan
+        out instead.  Fits are pure per object, so profiles are
+        bit-identical on every backend and worker count.
         """
         fields: dict = {}
         truths: dict = {}
@@ -499,29 +478,16 @@ class NeRFlexPipeline:
                 profiles_by_name[sub_scene.name] = profile
 
         if pending:
-            sharded = getattr(self.backend, "shards_objects", False) and len(pending) > 1
-            if sharded:
-                fitted = self._profile_objects_sharded(dataset, pending, timers)
-            else:
-                fitted = [self._fit_profile(dataset, entry, timers) for entry in pending]
-            # In the sharded path the workers already persisted fresh fits
-            # into the shared disk tier; the parent then only needs the
-            # memory-tier put, not a second disk write of the same bytes.
-            # Compared by directory, not instance: an env-configured backend
-            # builds its own store object over the same cache directory.
-            backend_store = getattr(self.backend, "store", None)
-            worker_persisted = (
-                sharded
-                and self.artifacts is not None
-                and self.artifacts.disk is not None
-                and backend_store is not None
-                and backend_store.root == self.artifacts.disk.root
+            fitted = self.backend.map(
+                self._profile_fit_task(dataset),
+                pending,
+                timer=timers,
+                stage="profiler",
             )
             for (sub_scene, _, _, artifact_key), profile in zip(pending, fitted):
                 # Re-apply worker-side memoisation in this process: with the
-                # process and cluster backends the measure tasks ran in
-                # forked children, whose measurement_cache writes died with
-                # them.
+                # process backend the fits ran in forked daemons, whose
+                # measurement_cache writes died with them.
                 for config, measurement in profile.measurements.items():
                     key = (
                         dataset.name,
@@ -531,9 +497,7 @@ class NeRFlexPipeline:
                     )
                     self.measurement_cache.setdefault(key, measurement)
                 if self.artifacts is not None:
-                    self.artifacts.put(
-                        artifact_key, profile, write_through=not worker_persisted
-                    )
+                    self.artifacts.put(artifact_key, profile)
                 profiles_by_name[sub_scene.name] = profile
 
         profiles = [
@@ -590,110 +554,27 @@ class NeRFlexPipeline:
 
     # -- execution-layer plumbing ---------------------------------------------
 
-    def _stage_map(self, stage: str, timers: "StageTimer | None"):
-        """An ordered-map function over this pipeline's execution backend.
-
-        Worker-side task time is attributed to ``stage`` on ``timers``
-        (see :meth:`repro.utils.timing.StageTimer.add_worker`).
-        """
-
-        def mapper(fn, items):
-            return self.backend.map(fn, items, timer=timers, stage=stage)
-
-        return mapper
-
-    def _fit_profile(self, dataset, entry: tuple, timers: "StageTimer | None"):
-        """Fit one sub-scene's profile, fanning its sample measurements out."""
-        sub_scene, truth, field_model, _ = entry
-        measure = self._make_measure_fn(dataset, sub_scene, truth, field_model)
-        return ProfileFitter(self.config.config_space).fit(
-            sub_scene.name,
-            measure,
-            map_fn=self._stage_map("profiler", timers),
-        )
-
-    def _profile_cost(self, dataset, sub_scene: SubScene) -> float:
-        """Estimated profiling work of one sub-scene, for shard planning.
-
-        A sample measurement bakes at granularity ``g`` (``g^3`` voxel
-        work) and textures ``p`` texels per face edge; measurements already
-        memoised in ``measurement_cache`` cost nothing.
-        """
-        cost = 0.0
-        for config in self.config.config_space.profiling_configs():
-            key = (dataset.name, sub_scene.name, config.granularity, config.patch_size)
-            if key not in self.measurement_cache:
-                cost += float(config.granularity) ** 3 * float(config.patch_size)
-        return max(cost, 1.0)
-
-    def _profile_objects_sharded(
-        self, dataset, pending: list, timers: "StageTimer | None"
-    ) -> list:
-        """Fan whole-object profile fits out through an object-sharding backend.
+    def _profile_fit_task(self, dataset):
+        """The profile stage's per-object task over ``dataset``.
 
         Each task fits one sub-scene's profile end to end (ground-truth
-        close-ups, sample bakes, model fits) inside a worker; nested maps
-        degenerate to the serial loop there, so the parallelism is purely
-        across objects — the paper's unit of decomposition.  Workers share
-        the backend's on-disk artifact store: a profile another process
-        (or a previous invocation) already persisted is loaded instead of
-        recomputed, and fresh fits are persisted from the worker so
-        sibling schedulers see them immediately.  Tasks are pure functions
-        of their sub-scene, so results are bit-identical to the in-process
-        path for any worker or shard count.
-
-        The task callable is memoised per dataset (see
-        :meth:`_sharded_fit_task`) so its identity qualifies for the
-        worker host's daemon reuse — which engages only when the entries
-        also pickle.  The library's built-in scenes close over local SDF
-        functions, so their profile maps ride the fork image on one-shot
-        daemons (the same per-map fork as before this refactor); scenes
-        built from picklable fields get daemon reuse for free.
+        close-ups, sample bakes, model fits); its measurement map goes
+        through this pipeline's backend untimed, since the outer map
+        credits the whole fit to the ``"profiler"`` stage.  The closure is
+        built per stage call and never stored on the pipeline, so it forms
+        no reference cycle that would keep a finished pipeline (and its
+        caches) alive until the next garbage collection.
         """
-        return self.backend.map(
-            self._sharded_fit_task(dataset),
-            pending,
-            timer=timers,
-            stage="profiler",
-            costs=[self._profile_cost(dataset, entry[0]) for entry in pending],
-            cost_keys=[entry[3] for entry in pending],
-        )
-
-    def _sharded_fit_task(self, dataset):
-        """The object-sharded profile task, with a stable callable identity.
-
-        Worker-daemon reuse keys on callable identity (the
-        :class:`~repro.exec.worker.WorkerHost` token registry): a fresh
-        closure per map would force a re-registration — and a respawn —
-        every time.  Stable identity is necessary
-        but not sufficient: maps whose entries do not pickle (scenes with
-        closure SDFs) take the host's one-shot path regardless.  One
-        entry suffices (pipelines profile one dataset at a time) and
-        keeps a dataset swap from pinning every previous dataset in
-        memory.  The shared store is looked up through the backend *at
-        task time* so a store wired after the first map is still honoured.
-        """
-        if self._sharded_fit_task_cache is not None:
-            cached_dataset, task = self._sharded_fit_task_cache
-            if cached_dataset is dataset:
-                return task
         config_space = self.config.config_space
         pipeline = self
 
         def fit_task(entry):
-            sub_scene, truth, field_model, artifact_key = entry
-            store = getattr(pipeline.backend, "store", None)
-            if store is not None:
-                cached = store.get(artifact_key)
-                if cached is not None:
-                    return cached
+            sub_scene, truth, field_model, _ = entry
             measure = pipeline._make_measure_fn(dataset, sub_scene, truth, field_model)
-            profile = ProfileFitter(config_space).fit(sub_scene.name, measure)
-            if store is not None:
-                store.put(artifact_key, profile)
-            return profile
+            return ProfileFitter(config_space).fit(
+                sub_scene.name, measure, map_fn=pipeline.backend.map
+            )
 
-        self._sharded_fit_task_cache = (dataset, fit_task)
         return fit_task
 
     def _profile_artifact_key(self, dataset, sub_scene: SubScene, field_model) -> tuple:
@@ -886,19 +767,8 @@ class NeRFlexPipeline:
                 else:
                     geometries[geometry_key] = geometry
             if tasks:
-                map_kwargs = {}
-                if getattr(self.backend, "supports_cost_hints", False):
-                    # Voxelisation work scales with the granularity cube; the
-                    # shard planner balances mixed-granularity bakes with it.
-                    map_kwargs["costs"] = [
-                        float(granularity) ** 3 for _, _, granularity in tasks
-                    ]
                 computed = self.backend.map(
-                    _bake_geometry_task,
-                    tasks,
-                    timer=timers,
-                    stage="bake",
-                    **map_kwargs,
+                    _bake_geometry_task, tasks, timer=timers, stage="bake"
                 )
                 for (geometry_key, _, _), geometry in zip(tasks, computed):
                     self.measurement_cache[geometry_key] = geometry

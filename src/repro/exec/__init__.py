@@ -1,9 +1,8 @@
 """Execution layer: pluggable backends, the worker wire and the artefact store.
 
 See :mod:`repro.exec.backends` for the serial / thread / process execution
-backends behind every bulk workload, :mod:`repro.exec.cluster` for the
-shard-planned cluster backend, :mod:`repro.exec.worker` for the persistent
-worker-daemon lifecycle both parallel backends share,
+backends behind every bulk workload, :mod:`repro.exec.worker` for the
+persistent worker-daemon lifecycle behind the process backend,
 :mod:`repro.exec.transport` for the fork+socketpair launcher and the
 length-prefixed frame codec (pickle protocol 5, ndarray buffers as inline
 segments), :mod:`repro.exec.artifacts` for the two-level store that lets
@@ -31,13 +30,6 @@ from repro.exec.backends import (
     resolve_backend,
     shard_rng,
 )
-from repro.exec.cluster import (
-    ClusterBackend,
-    ClusterStats,
-    ClusterTaskError,
-    ShardPlanner,
-    store_aware_costs,
-)
 from repro.exec.dag import (
     DagNode,
     DagRunResult,
@@ -55,7 +47,6 @@ from repro.exec.persist import (
 from repro.exec.transport import FrameProtocolError, MAX_FRAME_BYTES
 from repro.exec.worker import (
     HostRunReport,
-    Shard,
     WorkerHost,
     WorkerTaskError,
     shutdown_worker_hosts,
@@ -68,9 +59,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BACKENDS",
     "Backend",
-    "ClusterBackend",
-    "ClusterStats",
-    "ClusterTaskError",
     "DEFAULT_BACKEND_NAME",
     "DagNode",
     "DagRunResult",
@@ -83,8 +71,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "ProcessBackend",
     "SerialBackend",
-    "Shard",
-    "ShardPlanner",
     "TaskDag",
     "ThreadBackend",
     "WorkerHost",
@@ -99,5 +85,4 @@ __all__ = [
     "resolve_backend",
     "shard_rng",
     "shutdown_worker_hosts",
-    "store_aware_costs",
 ]

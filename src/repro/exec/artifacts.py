@@ -150,19 +150,13 @@ class ArtifactStore:
                 self._kind_misses[kind] = self._kind_misses.get(kind, 0) + 1
             return None
 
-    def put(self, key, value, write_through: bool = True) -> None:
-        """Store an artefact in the memory tier and write through to disk.
-
-        ``write_through=False`` skips the disk write for callers that know
-        the artefact is already persisted under this key — e.g. the
-        object-sharded profile stage, whose cluster workers put fresh fits
-        into the shared disk store themselves.
-        """
+    def put(self, key, value) -> None:
+        """Store an artefact in the memory tier and write through to disk."""
         with self._lru.lock:
             self.stats.puts += 1
             if self._lru.put(key, value):
                 self.stats.evictions += 1
-        if write_through and self.disk is not None:
+        if self.disk is not None:
             self.disk.put(key, value)
 
     def get_or_create(self, key, build_fn):

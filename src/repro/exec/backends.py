@@ -12,7 +12,7 @@ and routed through one of the interchangeable backends:
   so tasks may mutate caller state, but the Python-heavy marcher loops are
   GIL-bound and only numpy-releasing sections overlap.
 * :class:`ProcessBackend` — true multi-core execution on persistent worker
-  daemons, one item per shard.  The daemons are forked and owned by a
+  daemons, one item per dispatch.  The daemons are forked and owned by a
   :class:`~repro.exec.worker.WorkerHost`: consecutive maps with the same
   callable reuse the live daemons (items then cross the wire pickled); a
   new callable respawns them, and maps whose items do not pickle take a
@@ -31,12 +31,9 @@ it must derive its stream from :func:`shard_rng` — a pure function of
 ``(seed, shard_index)`` for integer seeds — so the draw never depends on
 which worker (or in which order) a shard executes.
 
-A fourth backend, :class:`repro.exec.cluster.ClusterBackend` (name
-``"cluster"``), schedules cost-weighted shards — with store-aware placement
-and straggler stealing — on the same worker-host machinery; see
-:mod:`repro.exec.cluster`.  It registers itself into :data:`BACKENDS` on
-import; :func:`resolve_backend` imports it lazily when the name is
-requested.
+What a backend shards is the caller's choice, and the pipeline makes it the
+same on every backend: whole objects for the profile stage, sub-models for
+bake geometry, ray chunks for rendering.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from repro.exec.transport import (  # noqa: F401  (re-exported API)
     fork_available,
     in_worker_process,
 )
-from repro.exec.worker import Shard, WorkerHost
+from repro.exec.worker import WorkerHost
 
 #: Environment variable that overrides the default backend selection.
 BACKEND_ENV_VAR = repro_env.REPRO_BACKEND.name
@@ -183,9 +180,8 @@ class ProcessBackend(Backend):
     from the returned values), return values must pickle, and any
     randomness must come from :func:`shard_rng` keyed by the item index.
 
-    The backend is the degenerate one-shard-per-item case of the shared
-    :class:`~repro.exec.worker.WorkerHost`: every item is its own shard,
-    dispatched pull-based to whichever daemon is idle.  Daemons are
+    Items run on the shared :class:`~repro.exec.worker.WorkerHost`, one
+    item per dispatch, pulled by whichever daemon is idle.  Daemons are
     **persistent** — consecutive maps with the *same* callable reuse them
     (items cross the wire pickled, results come back pickled, nothing is
     respawned); a map with a different callable re-registers the task and
@@ -228,14 +224,7 @@ class ProcessBackend(Backend):
             or in_worker_process()
         ):
             return SerialBackend().map(fn, items, timer=timer, stage=stage)
-        shards = [
-            Shard(index=index, item_indices=(index,), cost=1.0)
-            for index in range(len(items))
-        ]
-        # raise_original: a failing task re-raises its own exception type
-        # (when it pickles), exactly like the serial and thread backends —
-        # callers' error handling must not depend on REPRO_BACKEND.
-        results, report = self.host.run(fn, items, shards, raise_original=True)
+        results, report = self.host.run(fn, items)
         if timer is not None and stage is not None:
             timer.add_worker(stage, report.accepted_seconds)
         return results
@@ -253,14 +242,10 @@ BACKENDS = {
     ProcessBackend.name: ProcessBackend,
 }
 
-#: Backends resolvable by name but imported lazily (module -> backend name).
-LAZY_BACKENDS = {"cluster": "repro.exec.cluster"}
-
 
 def known_backend_names() -> list:
-    """Every backend name :func:`resolve_backend` accepts, the lazily
-    imported ones included (without importing them)."""
-    return sorted(set(BACKENDS) | set(LAZY_BACKENDS))
+    """Every backend name :func:`resolve_backend` accepts."""
+    return sorted(BACKENDS)
 
 
 def resolve_backend(backend=None, workers: "int | None" = None) -> Backend:
@@ -273,11 +258,11 @@ def resolve_backend(backend=None, workers: "int | None" = None) -> Backend:
             behaviour-preserving default (``thread``).
         workers: worker count; ``None`` uses the backend's own default
             (1 for serial/thread — today's inline behaviour — and the host
-            CPU count for the worker-daemon backends).
+            CPU count for the process backend).
 
     Raises:
         ValueError: the name is not a known backend; the message lists
-            every valid name, the lazily imported ``cluster`` included.
+            every valid name.
     """
     if isinstance(backend, Backend):
         return backend
@@ -285,13 +270,6 @@ def resolve_backend(backend=None, workers: "int | None" = None) -> Backend:
     if name is None:
         name = repro_env.REPRO_BACKEND.get()
     name = str(name).strip().lower()
-    if name not in BACKENDS and name in LAZY_BACKENDS:
-        # The cluster backend lives in its own module (it pulls in the
-        # persistence layer for store-aware scheduling); importing it
-        # registers it into BACKENDS.
-        import importlib
-
-        importlib.import_module(LAZY_BACKENDS[name])
     if name not in BACKENDS:
         raise ValueError(
             f"unknown execution backend {name!r}; valid backends: "

@@ -16,8 +16,8 @@ share nothing.  This module lifts that chain into an explicit task DAG:
   producer per artifact, every input satisfied (by a producer or a seed
   artifact), no cycles.  :meth:`~TaskDag.topological_order` is the
   deterministic schedule — ready nodes are ordered by ``(-cost, name)``,
-  so the heaviest available work dispatches first (the LPT instinct of
-  :class:`~repro.exec.cluster.ShardPlanner`, applied across stages).
+  so the heaviest available work dispatches first (longest-processing-
+  time-first, applied across stages).
 * :class:`DagScheduler` — executes a graph on a bounded thread pool.
   Bodies are pure per scene and the heavy numerics inside them release
   the GIL (numpy) or fan out through an execution backend, so independent

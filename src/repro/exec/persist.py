@@ -593,7 +593,7 @@ class DiskArtifactStore:
         """Evict least-recently-used artefacts until the byte bound holds.
 
         Several processes may share one cache directory (two stores, or two
-        cluster workers), so every file operation here races concurrent
+        pipelines in separate processes), so every file operation here races concurrent
         evictors: an entry listed a moment ago may already be gone by the
         time it is statted or unlinked.  Already-gone entries are treated
         exactly like entries this store evicted itself — they stop counting

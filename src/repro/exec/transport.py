@@ -1,7 +1,6 @@
 """The worker wire: how a scheduler launches and talks to its worker daemons.
 
-The execution layer's parallel backends (:class:`~repro.exec.backends.
-ProcessBackend` and :class:`~repro.exec.cluster.ClusterBackend`) both run
+The process backend (:class:`~repro.exec.backends.ProcessBackend`) runs
 work on long-lived worker daemons.  This module owns the two pieces of that
 story that are independent of *scheduling*:
 
@@ -30,7 +29,8 @@ Protocol frames (all pickled tuples):
 scheduler -> worker      meaning
 =======================  =================================================
 ``("shard", t, s,        run shard ``s`` of task ``t`` over ``pairs`` —
-`` pairs)``              a list of ``(item_index, item)`` tuples
+`` pairs)``              a list of ``(item_index, item)`` tuples (the
+                         worker host sends one pair, ``s`` = its index)
 ``("shard_image", t,     run shard ``s`` of task ``t`` over the item
 `` s, indices)``         *indices* into the fork-inherited
                          :data:`_IMAGE_ITEMS` registry
@@ -51,6 +51,10 @@ worker -> scheduler      meaning
 from __future__ import annotations
 
 import multiprocessing
+# Imported eagerly: Process.join(timeout) imports it lazily, and a first
+# import interrupted by a garbage collection whose finalizer joins a
+# daemon would see it partially initialised.
+import multiprocessing.connection  # noqa: F401
 import pickle
 import socket
 import struct

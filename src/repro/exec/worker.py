@@ -1,47 +1,40 @@
-"""The shared worker-daemon lifecycle behind both parallel backends.
+"""The worker-daemon lifecycle behind the process backend.
 
-Before this module existed, :class:`~repro.exec.backends.ProcessBackend`
-(a persistent fork pool) and :class:`~repro.exec.cluster.ClusterBackend`
-(per-map forked daemons over a socket protocol) each owned their own copy
-of the same lifecycle: spawn workers, detect deaths, re-enqueue lost work,
-respawn within a budget, shut down cleanly.  :class:`WorkerHost` is that
-lifecycle, written once, over the fork+socketpair launcher of
-:mod:`repro.exec.transport`:
+:class:`WorkerHost` owns the daemons :class:`~repro.exec.backends.
+ProcessBackend` runs on: it spawns them over the fork+socketpair launcher
+of :mod:`repro.exec.transport`, detects deaths, re-enqueues lost work,
+respawns within a budget and shuts down cleanly.
 
 * **Persistent daemons with a callable-token registry.**  The first map
   registers its callable under a fresh token and spawns daemons;
   consecutive maps with the *same* callable reuse the live daemons — zero
-  respawns, items cross the wire pickled (the fork pool's token-registry
-  trick applied to the frame protocol).  A map with a *different* callable
-  re-registers: the fleet is disposed and a fresh one forked (the
+  respawns, items cross the wire pickled.  A map with a *different*
+  callable re-registers: the fleet is disposed and a fresh one forked (the
   callable travels by memory image).
-* **One-shot maps for unpicklable items.**  Items that cannot cross a task
-  queue ride the fork memory image instead — dedicated daemons are forked
+* **One-shot maps for unpicklable items.**  Items that cannot cross the
+  wire ride the fork memory image instead — dedicated daemons are forked
   for that map alone (inheriting callable *and* items by image) and reaped
   at its end, while the persistent fleet stays intact for the next
-  reusable map.  Exactly the fork pool's one-shot path.
-* **Death detection and lost-shard re-enqueue.**  A daemon that dies
-  mid-shard (killed, OOMed, crashed) is detected by its connection
-  closing; its in-flight shard is re-queued at the front, a replacement is
-  spawned within a per-map respawn budget, and chronic death surfaces as a
+  reusable map.
+* **Death detection and lost-item re-enqueue.**  A daemon that dies
+  mid-item (killed, OOMed, crashed) is detected by its connection closing;
+  its in-flight item is re-queued at the front, a replacement is spawned
+  within a per-map respawn budget, and chronic death surfaces as a
   ``RuntimeError`` instead of an infinite respawn loop.  Daemons found
   dead *between* maps (e.g. SIGKILLed while idle) are pruned and replaced
   transparently at the next map's start.
-* **Pull-based dispatch with a pluggable steal policy.**  Work is handed
-  to whichever daemon is idle; when the queue drains, an optional
-  ``steal`` hook (the cluster backend's straggler heuristic) may pick an
-  in-flight shard to duplicate.  First completion wins; shards are pure,
-  so duplicates are harmless.
+* **Pull-based dispatch, one item per frame.**  Work is handed to
+  whichever daemon is idle.  A failing task re-raises its original
+  exception (when it pickles) with the remote traceback chained as a
+  :class:`WorkerTaskError` cause — the serial loop's semantics.
 * **Bounded idle fleets and clean shutdown.**  Hosts with live daemons are
   tracked in an LRU bounded at :data:`_MAX_LIVE_FLEETS` (each idle daemon
   pins a copy-on-write image of the parent); beyond it, the
   least-recently-used host's fleet is disposed.  ``atexit`` reaps
   everything at interpreter exit.
 
-Scheduling *policy* — how items become cost-weighted shards, store-aware
-placement, when to steal — stays in the backends; the host only owns the
-mechanics every backend needs.  Results are reassembled by item index, so
-every backend stays bit-identical to the serial loop.
+Results are reassembled by item index, so the backend stays bit-identical
+to the serial loop.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import itertools
 import os
 import pickle
 import selectors
-import time
+import signal
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -120,14 +113,23 @@ def _reap_fleet_at_gc(daemons: dict, token_box: list) -> None:
     unrelated host on the same thread, and taking the lock there would
     deadlock.  That is safe: this host is unreachable, so nothing else
     touches its daemons, and the registry pop is atomic under the GIL.
+
+    The task token is retired first and every daemon is reaped on its own:
+    an exception escaping a finalizer is only reported, so one failing
+    stop must neither skip the rest of the fleet (leaving zombies) nor
+    leave the token pinning the task closure for the life of the process.
     """
-    for daemon in list(daemons.values()):
-        _stop_daemon(daemon)
-    daemons.clear()
     token = token_box[0]
     token_box[0] = None
     if token is not None:
         _IMAGE_TASKS.pop(token, None)
+    fleet = list(daemons.values())
+    daemons.clear()
+    for daemon in fleet:
+        try:
+            _stop_daemon(daemon)
+        except Exception:
+            _kill_and_reap(daemon)
 
 
 def _stop_daemon(daemon) -> None:
@@ -146,6 +148,16 @@ def _stop_daemon(daemon) -> None:
         daemon.process.join(timeout=2.0)
 
 
+def _kill_and_reap(daemon) -> None:
+    """Last-resort reap that avoids :mod:`multiprocessing`'s helpers."""
+    pid = daemon.process.pid
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except OSError:
+        pass  # already gone, or already reaped
+
+
 def _discard_buffer(buffer) -> None:
     """``buffer_callback`` of the picklability probe: drop the bytes."""
 
@@ -154,25 +166,17 @@ class WorkerTaskError(RuntimeError):
     """A task callable raised inside a worker daemon (remote traceback attached)."""
 
 
-@dataclass(frozen=True)
-class Shard:
-    """One schedulable unit: a subset of item indices and its cost estimate."""
-
-    index: int
-    item_indices: tuple
-    cost: float
-
-
 class _Daemon:
     """Host-side bookkeeping for one live worker daemon."""
 
-    __slots__ = ("worker_id", "process", "conn", "shard")
+    __slots__ = ("worker_id", "process", "conn", "item")
 
     def __init__(self, worker_id: int, process, conn) -> None:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        self.shard: "Shard | None" = None
+        #: Index of the item in flight on this daemon (``None`` when idle).
+        self.item: "int | None" = None
 
 
 @dataclass
@@ -183,51 +187,29 @@ class HostRunReport:
     spawned: int = 0
     #: Live daemons reused from the persistent fleet at run start.
     reused_workers: int = 0
-    #: Shard dispatches (speculative duplicates included).
+    #: Item dispatches (re-dispatches after a death included).
     dispatched: int = 0
-    #: Speculative (steal) dispatches among them.
-    speculative: int = 0
     #: Worker deaths detected during the run (idle pruning included).
     deaths: int = 0
-    #: Lost shards re-enqueued after a death.
+    #: Lost items re-enqueued after a death.
     requeued: int = 0
     #: Whether this run installed a new task token (callable changed).
     task_registered: bool = False
     #: Whether the items rode the fork image (one-shot daemons).
     one_shot: bool = False
-    #: Summed task seconds of first-accepted shard completions.
+    #: Summed task seconds of completed items.
     accepted_seconds: float = 0.0
 
 
-@dataclass
-class SchedulerView:
-    """Live dispatch state handed to a steal policy (read-only by contract).
-
-    ``completed_durations`` holds ``(shard_index, wall seconds)`` per
-    first-accepted completion, so a policy can weigh (or exclude) specific
-    shards — e.g. store-hit shards whose near-zero durations would
-    otherwise corrupt a straggler baseline."""
-
-    shard_by_index: dict
-    completed: dict
-    in_flight: dict
-    dispatch_started: dict
-    completed_durations: list
-
-
 class WorkerHost:
-    """Owns forked worker daemons; executes shard plans on them.
+    """Owns forked worker daemons; executes ordered maps on them.
 
     Args:
         workers: maximum daemons kept live (``None`` = host CPU count).
         max_respawns: per-map budget of replacement daemons after deaths;
             ``None`` scales with the worker count.
 
-    The host is intentionally policy-free: callers hand it a list of
-    :class:`Shard` plans (the cluster backend's planner output, or the
-    degenerate one-shard-per-item plan of the process backend) and an
-    optional steal hook.  See the module docstring for the lifecycle
-    contract.
+    See the module docstring for the lifecycle contract.
     """
 
     def __init__(
@@ -346,23 +328,12 @@ class WorkerHost:
 
     # -- the run loop --------------------------------------------------------
 
-    def run(self, fn, items, shards: list, steal=None, raise_original: bool = False) -> tuple:
-        """Execute planned shards of ``map(fn, items)`` on worker daemons.
+    def run(self, fn, items) -> tuple:
+        """Execute ``map(fn, items)`` on worker daemons, one item per frame.
 
         Args:
             fn: the task callable (``fn(item) -> result``; must be pure).
-            items: the full ordered item list the shards index into.
-            shards: :class:`Shard` plan covering every item exactly once.
-            steal: optional ``steal(view, worker_id) -> Shard | None`` hook
-                consulted for idle workers once the queue drains (see
-                :class:`SchedulerView`).
-            raise_original: re-raise a failing task's *original* exception
-                (when it pickled out of the worker) with the
-                :class:`WorkerTaskError` carrying the remote traceback
-                chained as its cause — the serial backend's semantics,
-                requested by the process backend so ``except KeyError:``
-                style callers behave identically across backends.  The
-                default raises :class:`WorkerTaskError` itself.
+            items: the ordered item list.
 
         Returns:
             ``(ordered_results, report)`` where ``ordered_results`` is
@@ -370,20 +341,23 @@ class WorkerHost:
             :class:`HostRunReport` (accepted worker seconds included).
 
         Raises:
-            WorkerTaskError: the callable raised inside a daemon (or, with
-                ``raise_original``, the original exception re-raised).
+            Exception: the callable raised inside a daemon — its original
+                exception is re-raised, with the :class:`WorkerTaskError`
+                carrying the remote traceback as its cause; a
+                :class:`WorkerTaskError` itself when the exception does not
+                pickle.
             RuntimeError: daemons kept dying beyond the respawn budget.
         """
         items = list(items)
         report = HostRunReport()
-        if not shards:
+        if not items:
             return [], report
         try:
             items_payload_ok = True
             # Picklability probe only — out-of-band buffers are discarded
             # unread, so array-heavy item lists are classified without
             # materialising a copy of their payload bytes (the dispatch
-            # path re-pickles per shard anyway).
+            # path re-pickles per item anyway).
             pickle.dumps(
                 items,
                 protocol=pickle.HIGHEST_PROTOCOL,
@@ -402,13 +376,12 @@ class WorkerHost:
             if items_payload_ok:
                 self._ensure_task(fn, report)
                 self._prune_dead_daemons(report)
-                token = self._task_token
                 reused = len(self._daemons)
                 report.reused_workers = reused
                 try:
-                    results = self._run_shards(
-                        items, shards, token, self._daemons, report, steal,
-                        one_shot=False, raise_original=raise_original,
+                    results = self._run_items(
+                        items, self._task_token, self._daemons, report,
+                        one_shot=False,
                     )
                 except BaseException:
                     # The fleet may be in an arbitrary state (half-dead,
@@ -428,47 +401,26 @@ class WorkerHost:
             _IMAGE_TASKS[token] = fn
             _IMAGE_ITEMS[token] = items
             try:
-                return (
-                    self._run_shards(
-                        items, shards, token, {}, report, steal,
-                        one_shot=True, raise_original=raise_original,
-                    ),
-                    report,
-                )
+                return self._run_items(items, token, {}, report, one_shot=True), report
             finally:
                 _IMAGE_TASKS.pop(token, None)
                 _IMAGE_ITEMS.pop(token, None)
 
-    def _run_shards(
+    def _run_items(
         self,
         items: list,
-        shards: list,
         token: int,
         daemons: dict,
         report: HostRunReport,
-        steal,
         one_shot: bool,
-        raise_original: bool = False,
     ) -> list:
         """The event loop: dispatch, collect, survive deaths.  Caller holds
         the lifecycle lock and has registered the task under ``token``."""
-        dispatch_order = sorted(shards, key=lambda shard: (-shard.cost, shard.index))
-        pending = deque(dispatch_order)
+        pending = deque(range(len(items)))
         completed: dict = {}
-        in_flight: dict = {shard.index: set() for shard in shards}
-        shard_by_index = {shard.index: shard for shard in shards}
         respawn_budget = self.max_respawns
         selector = selectors.DefaultSelector()
         failure: "BaseException | None" = None
-        dispatch_started: dict = {}  # (shard index, worker id) -> perf_counter
-        completed_durations: list = []  # (shard index, wall seconds) accepted
-        view = SchedulerView(
-            shard_by_index=shard_by_index,
-            completed=completed,
-            in_flight=in_flight,
-            dispatch_started=dispatch_started,
-            completed_durations=completed_durations,
-        )
 
         def spawn() -> _Daemon:
             daemon = self._spawn_daemon(report)
@@ -476,68 +428,32 @@ class WorkerHost:
             selector.register(daemon.conn, selectors.EVENT_READ, daemon)
             return daemon
 
-        def shard_frame(shard: Shard) -> tuple:
+        def item_frame(index: int) -> tuple:
+            # One-pair "shard" frames: the frame format carries a list of
+            # (item_index, item) pairs, and every dispatch is one item.
             if one_shot:
-                return ("shard_image", token, shard.index, shard.item_indices)
-            pairs = [(index, items[index]) for index in shard.item_indices]
-            return ("shard", token, shard.index, pairs)
+                return ("shard_image", token, index, (index,))
+            return ("shard", token, index, [(index, items[index])])
 
         def dispatch(daemon: _Daemon) -> None:
-            shard = None
-            speculative = False
-            if pending:
-                shard = pending.popleft()
-            elif steal is not None:
-                shard = steal(view, daemon.worker_id)
-                speculative = shard is not None
-            if shard is None:
-                daemon.shard = None
+            if not pending:
+                daemon.item = None
                 return
-            daemon.shard = shard
-            in_flight[shard.index].add(daemon.worker_id)
-            dispatch_started[(shard.index, daemon.worker_id)] = time.perf_counter()
+            index = pending.popleft()
+            daemon.item = index
             try:
-                send_frame(daemon.conn, shard_frame(shard))
+                send_frame(daemon.conn, item_frame(index))
             except OSError:
                 # The daemon died while idle (its EOF may still be queued in
-                # the selector); requeue the shard and repair the fleet
+                # the selector); requeue the item and repair the fleet
                 # instead of crashing the map.
                 on_death(daemon)
                 return
             report.dispatched += 1
-            if speculative:
-                report.speculative += 1
-
-        def retire(daemon: _Daemon, requeue: bool) -> None:
-            if daemon.worker_id not in daemons:
-                return  # already retired (e.g. send failure then EOF event)
-            selector.unregister(daemon.conn)
-            daemon.conn.close()
-            daemons.pop(daemon.worker_id, None)
-            shard = daemon.shard
-            if shard is None:
-                return
-            in_flight[shard.index].discard(daemon.worker_id)
-            dispatch_started.pop((shard.index, daemon.worker_id), None)
-            if (
-                requeue
-                and shard.index not in completed
-                and not in_flight[shard.index]
-                and shard not in pending
-            ):
-                pending.appendleft(shard)  # lost work runs next
-                report.requeued += 1
-
-        def feed_idle() -> None:
-            for daemon in list(daemons.values()):
-                if not pending:
-                    break
-                if daemon.shard is None:
-                    dispatch(daemon)
 
         def on_death(daemon: _Daemon) -> None:
             # Shared by the EOF path and the dispatch send-failure path:
-            # requeue the lost shard, spawn a replacement within budget (so
+            # requeue the lost item, spawn a replacement within budget (so
             # the fleet holds its configured width instead of shrinking for
             # the rest of the map), and put any idle daemons back to work.
             nonlocal respawn_budget
@@ -545,26 +461,35 @@ class WorkerHost:
                 return  # both paths fired for the same death
             self.worker_deaths += 1
             report.deaths += 1
-            retire(daemon, requeue=True)
+            selector.unregister(daemon.conn)
+            daemon.conn.close()
+            daemons.pop(daemon.worker_id, None)
+            if daemon.item is not None and daemon.item not in completed:
+                pending.appendleft(daemon.item)  # lost work runs next
+                report.requeued += 1
             daemon.process.join(timeout=0.5)
-            if len(completed) < len(shards) and respawn_budget > 0:
+            if len(completed) < len(items) and respawn_budget > 0:
                 respawn_budget -= 1
                 dispatch(spawn())
-            feed_idle()
+            for idle in list(daemons.values()):
+                if not pending:
+                    break
+                if idle.item is None:
+                    dispatch(idle)
 
         try:
             # Reused fleet daemons re-register with this run's selector;
-            # then top the fleet up to the plan's useful width.
+            # then top the fleet up to the map's useful width.
             for daemon in daemons.values():
-                daemon.shard = None
+                daemon.item = None
                 selector.register(daemon.conn, selectors.EVENT_READ, daemon)
-            wanted = min(self.workers, len(shards))
+            wanted = min(self.workers, len(items))
             while len(daemons) < wanted:
                 spawn()
             for daemon in list(daemons.values()):
                 dispatch(daemon)
 
-            while len(completed) < len(shards) and failure is None:
+            while len(completed) < len(items) and failure is None:
                 while not daemons:
                     if respawn_budget <= 0:
                         raise RuntimeError(
@@ -573,17 +498,7 @@ class WorkerHost:
                         )
                     respawn_budget -= 1
                     dispatch(spawn())
-                idle = [
-                    daemon for daemon in daemons.values() if daemon.shard is None
-                ]
-                events = selector.select(timeout=0.05 if idle else 5.0)
-                if not events:
-                    # Idle daemons re-check the steal policy as in-flight
-                    # shards age into stragglers.
-                    for daemon in idle:
-                        dispatch(daemon)
-                    continue
-                for key, _ in events:
+                for key, _ in selector.select(timeout=5.0):
                     daemon = key.data
                     if daemon.worker_id not in daemons:
                         continue  # retired earlier in this same event batch
@@ -592,48 +507,27 @@ class WorkerHost:
                     except (EOFError, OSError):
                         # Daemon death (killed, crashed, OOMed) or a
                         # poisoned stream (FrameProtocolError): requeue its
-                        # shard and spawn a replacement within budget.
+                        # item and spawn a replacement within budget.
                         on_death(daemon)
                         continue
                     kind = message[0]
                     if kind == "done":
-                        _, shard_index, elapsed, shard_results = message
-                        in_flight[shard_index].discard(daemon.worker_id)
-                        started = dispatch_started.pop(
-                            (shard_index, daemon.worker_id), None
-                        )
-                        if shard_index not in completed:
-                            completed[shard_index] = shard_results
-                            report.accepted_seconds += float(elapsed)
-                            if started is not None:
-                                completed_durations.append(
-                                    (shard_index, time.perf_counter() - started)
-                                )
-                        daemon.shard = None
+                        _, index, elapsed, (result,) = message
+                        completed[index] = result
+                        report.accepted_seconds += float(elapsed)
                         dispatch(daemon)
                     elif kind == "fail":
-                        _, shard_index, trace, exc_bytes = message
-                        in_flight[shard_index].discard(daemon.worker_id)
-                        dispatch_started.pop((shard_index, daemon.worker_id), None)
-                        if shard_index in completed or in_flight[shard_index]:
-                            # A duplicated attempt failed (e.g. memory
-                            # pressure from running the shard twice) while
-                            # the shard was already delivered — or still has
-                            # a live sibling attempt that may deliver it.
-                            # Not (yet) a map failure.
-                            daemon.shard = None
-                            dispatch(daemon)
-                            continue
+                        _, _, trace, exc_bytes = message
                         failure = WorkerTaskError(
                             "task failed in worker daemon:\n" + trace
                         )
-                        if raise_original and exc_bytes is not None:
+                        if exc_bytes is not None:
                             try:
                                 original = pickle.loads(exc_bytes)
                             except Exception:
                                 pass  # keep the WorkerTaskError
                             else:
-                                # Serial-backend semantics: the caller's
+                                # Serial-loop semantics: the caller's
                                 # `except <OriginalType>:` must fire; the
                                 # remote traceback rides along as the cause.
                                 original.__cause__ = failure
@@ -647,21 +541,11 @@ class WorkerHost:
             if failure is not None:
                 raise failure
         finally:
-            # Daemons still chewing a speculative duplicate whose shard was
-            # already accepted cannot be reused — their late reply would be
-            # misread as belonging to the next map — so they are reaped
-            # along with every one-shot daemon; idle persistent daemons
-            # stay in the fleet for the next map.
             for daemon in list(daemons.values()):
                 selector.unregister(daemon.conn)
-                if one_shot or daemon.shard is not None:
+                if one_shot:
                     daemons.pop(daemon.worker_id, None)
                     _stop_daemon(daemon)
             selector.close()
 
-        ordered = [None] * len(items)
-        for shard in shards:
-            shard_results = completed[shard.index]
-            for item_index, value in zip(shard.item_indices, shard_results):
-                ordered[item_index] = value
-        return ordered
+        return [completed[index] for index in range(len(items))]

@@ -245,17 +245,15 @@ class RenderEngine:
             default — 1 (today's inline loop) for serial/thread, the host
             CPU count for the process pool — while an explicit count is
             always honoured (``workers=1`` forces even a process backend
-            down to one worker).  Retained for backward compatibility —
-            ``RenderEngine(workers=3)`` still means a 3-thread fan-out
-            unless a different backend is selected.
+            down to one worker).
         cache: optional :class:`RenderCache`; when present, the camera-level
             methods memoise results for callers that supply a ``scene_key``.
         backend: execution backend for independent ray chunks — a
             :class:`repro.exec.backends.Backend` instance, a backend name
-            (``"serial"`` / ``"thread"`` / ``"process"`` / ``"cluster"``),
-            or ``None`` to consult the ``REPRO_BACKEND`` environment
-            variable.  Chunks are pure and assembled in order, so every
-            backend renders bit-identical images.
+            (``"serial"`` / ``"thread"`` / ``"process"``), or ``None`` to
+            consult the ``REPRO_BACKEND`` environment variable.  Chunks are
+            pure and assembled in order, so every backend renders
+            bit-identical images.
         kernel: hot-loop kernel backend for the marching/compositing
             bodies — a name from
             :func:`repro.render.kernels.known_kernel_names` (``"numpy"`` /
@@ -280,7 +278,6 @@ class RenderEngine:
         if workers is not None and workers < 1:
             raise ValueError("workers must be positive")
         self.chunk_rays = int(chunk_rays)
-        self.workers = 1 if workers is None else int(workers)
         self.cache = cache
         self.backend = resolve_backend(backend, workers=workers)
         # Resolved to a backend *name* (string), never a KernelSet: chunk
@@ -316,34 +313,17 @@ class RenderEngine:
         finally:
             self._stage_timer, self._stage_name = previous
 
-    def _map_chunks(self, process, starts, num_items: "int | None" = None) -> list:
+    def _map_chunks(self, process, starts) -> list:
         """Map ``process`` over chunk starts via the execution backend.
 
         ``process(start)`` must be a pure function of its chunk (no writes
         to shared state — with the process backend they would be lost in the
         worker); results come back in chunk order for deterministic
         assembly.  Worker-side task time lands on the stage configured via
-        :meth:`attribute`, when one is active.  ``num_items`` (the ray count
-        behind the chunk starts) lets a cost-hinted backend — the cluster's
-        shard planner — weigh the short tail chunk correctly instead of
-        assuming uniform chunks.
+        :meth:`attribute`, when one is active.
         """
-        starts = list(starts)
-        map_kwargs = {}
-        if (
-            num_items is not None
-            and len(starts) > 1
-            and getattr(self.backend, "supports_cost_hints", False)
-        ):
-            map_kwargs["costs"] = [
-                float(min(self.chunk_rays, num_items - start)) for start in starts
-            ]
         return self.backend.map(
-            process,
-            starts,
-            timer=self._stage_timer,
-            stage=self._stage_name,
-            **map_kwargs,
+            process, list(starts), timer=self._stage_timer, stage=self._stage_name
         )
 
     def _cached_views(self, cameras, scene_key, quality_key, render_batch):
@@ -414,7 +394,7 @@ class RenderEngine:
                 kernel_name=kernel_name,
             )
 
-        parts = self._map_chunks(process, starts, num_items=num_rays)
+        parts = self._map_chunks(process, starts)
         return (
             np.concatenate([part[0] for part in parts]),
             np.concatenate([part[1] for part in parts]),
@@ -694,7 +674,7 @@ class RenderEngine:
                 return start, ray_alpha, hit_rows, chunk_rgb, chunk_depth
 
             chunk_results = self._map_chunks(
-                process, range(0, num_rays, self.chunk_rays), num_items=num_rays
+                process, range(0, num_rays, self.chunk_rays)
             )
             for start, ray_alpha, hit_rows, chunk_rgb, chunk_depth in chunk_results:
                 alpha[start : start + ray_alpha.shape[0]] = ray_alpha
@@ -785,9 +765,7 @@ class RenderEngine:
             return ray_ids[hit_rows], sampled, t_entry
 
         chunk_results = self._map_chunks(
-            process,
-            range(0, candidates.size, self.chunk_rays),
-            num_items=int(candidates.size),
+            process, range(0, candidates.size, self.chunk_rays)
         )
         for result in chunk_results:
             if result is None:

@@ -8,7 +8,9 @@ parent test (``tests/test_artifact_golden.py``) executes this file twice
 against one artifact directory and asserts that the second run recomputes
 nothing and reproduces the first run's outputs bit-identically.
 
-Not a pytest file — the leading underscore keeps it out of collection.
+Also home of the golden scene, config and :func:`report_record` that the
+in-process golden tiers share.  Not a pytest file — the leading underscore
+keeps it out of collection.
 """
 
 from __future__ import annotations
@@ -64,6 +66,37 @@ def golden_config() -> PipelineConfig:
         num_fps_frames=64,
         backend="serial",
     )
+
+
+def report_record(pipeline_run) -> str:
+    """The timing-free JSON record of one in-process pipeline run.
+
+    ``pipeline_run`` is the ``(preparation, multi_model, report)`` triple
+    of :meth:`NeRFlexPipeline.run`; records of two runs compare equal
+    exactly when their outputs are bit-identical.
+    """
+    preparation, multi_model, report = pipeline_run
+    record = {
+        "assignments": {
+            name: config.as_tuple()
+            for name, config in sorted(preparation.selection.assignments.items())
+        },
+        "profile_state": [
+            profile.state_tuple() for profile in preparation.profiles
+        ],
+        "report": {
+            "size_mb": multi_model.size_mb(),
+            "per_object_size_mb": dict(sorted(report.per_object_size_mb.items())),
+            "loaded": report.loaded,
+            "ssim": report.ssim,
+            "psnr": report.psnr,
+            "lpips": report.lpips,
+            "per_object_ssim": dict(sorted(report.per_object_ssim.items())),
+            "average_fps": report.average_fps,
+            "num_submodels": report.num_submodels,
+        },
+    }
+    return json.dumps(record, sort_keys=True, default=list)
 
 
 def main() -> None:

@@ -123,7 +123,7 @@ class TestResolution:
 
     def test_closure_inherits_enclosing_instance_bindings(self):
         # The nested task reads the factory's local (and the `self` alias),
-        # exactly how _sharded_fit_task builds its shipped closure.
+        # exactly how _profile_fit_task builds its shipped closure.
         graph = graph_of({
             "src/pkg/main.py": (
                 "class Helper:\n"

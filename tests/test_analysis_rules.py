@@ -550,19 +550,19 @@ def render_chunks(backend, chunks, get_kernels, kernel_name):
 
 DAG_PATH = "src/repro/exec/dag.py"
 TRANSPORT_PATH = "src/repro/exec/transport.py"
-#: Where shard cost hints are computed (``store_aware_costs``).
-COSTS_PATH = "src/repro/exec/cluster.py"
+#: Where the static stage cost hints live (``STATIC_STAGE_HINTS``).
+COSTS_PATH = "src/repro/core/pipeline.py"
 
 
 class TestDagAndCostModelFixtures:
     """Golden-scope pins for the stage-DAG executor, the frame codec and
-    the shard cost model.
+    the stage cost hints.
 
     The DAG carries a determinism contract (stable topological order), the
-    codec carries every golden map's payload bytes, and the cost hints
-    (static stage hints, store-hit discounts) decide shard plans, so all
-    three sit in the project-invariant golden scope; the DAG and the cost
-    path also get known-bad/known-good fixtures."""
+    codec carries every golden map's payload bytes, and the static stage
+    hints decide the DAG's dispatch order, so all three sit in the
+    project-invariant golden scope; the DAG and the cost path also get
+    known-bad/known-good fixtures."""
 
     @pytest.mark.parametrize("path", [DAG_PATH, TRANSPORT_PATH, COSTS_PATH])
     def test_modules_are_golden_scope(self, path):
@@ -588,7 +588,7 @@ def run_ready(dag, artifacts):
     def test_known_bad_cost_model_is_flagged(self):
         # Known-bad: cost hints memoised on salted hash() (REP-D101) and
         # jittered with unseeded noise (REP-D104) — either one makes "same
-        # inputs -> same shard plan" unreproducible.
+        # inputs -> same dispatch order" unreproducible.
         source = '''
 import numpy as np
 

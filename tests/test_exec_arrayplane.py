@@ -31,7 +31,6 @@ import pytest
 from repro.exec import (
     FrameProtocolError,
     ProcessBackend,
-    Shard,
     WorkerHost,
     fork_available,
 )
@@ -42,10 +41,6 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="needs fork")
 
 _HEADER = struct.Struct("<QI")
 _SEG_SIZE = struct.Struct("<Q")
-
-
-def one_item_shards(count: int) -> list:
-    return [Shard(index=i, item_indices=(i,), cost=1.0) for i in range(count)]
 
 
 def _shm_entries(needle: str) -> list:
@@ -178,9 +173,7 @@ class TestShmPlaneEndToEnd:
     def test_map_rides_transfer_segments_and_leaves_no_residue(self):
         host = WorkerHost(workers=2)
         try:
-            results, _ = host.run(
-                _array_result_task, list(range(8)), one_item_shards(8)
-            )
+            results, _ = host.run(_array_result_task, list(range(8)))
             pids = {daemon.process.pid for daemon in host._daemons.values()}
             reference = [_array_result_task(x) for x in range(8)]
             for got, want in zip(results, reference):
@@ -199,7 +192,7 @@ class TestShmPlaneEndToEnd:
             _kill_once_then_array, sentinel=str(tmp_path / "victim")
         )
         try:
-            results, report = host.run(task, list(range(8)), one_item_shards(8))
+            results, report = host.run(task, list(range(8)))
             reference = [_array_result_task(x) for x in range(8)]
             for got, want in zip(results, reference):
                 assert got.tobytes() == want.tobytes()
@@ -217,14 +210,13 @@ class TestShmPlaneEndToEnd:
         child = """
 import os
 import numpy as np
-from repro.exec import Shard, WorkerHost
+from repro.exec import WorkerHost
 
 def task(x):
     return np.arange(40_000, dtype=np.float64) * x
 
 host = WorkerHost(workers=2)
-shards = [Shard(index=i, item_indices=(i,), cost=1.0) for i in range(6)]
-results, _ = host.run(task, list(range(6)), shards)
+results, _ = host.run(task, list(range(6)))
 assert len(results) == 6
 print(" ".join(str(d.process.pid) for d in host._daemons.values()))
 print(os.getpid())
@@ -257,9 +249,7 @@ class TestOneShotResultPlane:
         try:
             lock = threading.Lock()  # unpicklable: forces the one-shot path
             items = [(lock, value) for value in range(4)]
-            results, report = host.run(
-                lambda item: item[1] * 2, items, one_item_shards(4)
-            )
+            results, report = host.run(lambda item: item[1] * 2, items)
             assert results == [0, 2, 4, 6]
             assert report.one_shot
             assert report.accepted_seconds > 0.0

@@ -8,6 +8,7 @@ contract (closures never pickle; only results do) and its fallbacks.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.device.models import DeviceProfile
 from repro.exec import (
     ArtifactStore,
     BACKENDS,
-    ClusterBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -37,7 +37,6 @@ ALL_BACKENDS = [
     SerialBackend(),
     ThreadBackend(workers=3),
     ProcessBackend(workers=2),
-    ClusterBackend(workers=2),
 ]
 
 
@@ -129,8 +128,7 @@ class TestBackendMap:
         assert resolve_backend("serial").name == "serial"
         assert resolve_backend("thread", workers=5).workers == 5
         assert resolve_backend("process", workers=3).workers == 3
-        assert resolve_backend("cluster", workers=2).workers == 2
-        assert set(BACKENDS) == {"serial", "thread", "process", "cluster"}
+        assert set(BACKENDS) == {"serial", "thread", "process"}
 
     def test_explicit_single_worker_is_honoured(self):
         # workers=1 is a real request (bounds even the process pool to one
@@ -144,14 +142,21 @@ class TestBackendMap:
         assert resolve_backend(backend) is backend
 
     def test_resolve_unknown_name_lists_every_valid_backend(self):
-        # Regression: the error must name every selectable backend,
-        # including the lazily imported cluster, so a typo in
-        # REPRO_BACKEND is self-diagnosing.
+        # Regression: the error must name every selectable backend, so a
+        # typo in REPRO_BACKEND is self-diagnosing.
         with pytest.raises(
-            ValueError, match=r"cluster, process, serial, thread"
+            ValueError, match=r"process, serial, thread"
         ) as excinfo:
             resolve_backend("gpu")
         assert "REPRO_BACKEND" in str(excinfo.value)
+
+    def test_cluster_name_is_rejected(self):
+        # The object-sharding cluster backend was folded into the process
+        # backend; its old name fails loudly instead of silently resolving.
+        with pytest.raises(
+            ValueError, match=r"valid backends: process, serial, thread \("
+        ):
+            resolve_backend("cluster")
 
     def test_resolve_unknown_env_value_raises_with_names(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "quantum")
@@ -588,6 +593,35 @@ class TestPersistentPool:
         try:
             with pytest.raises(KeyError, match="missing-key"):
                 backend.map(boom, [0, 1, 2, 3])
+        finally:
+            backend.shutdown()
+
+    def test_items_execute_concurrently(self):
+        """Daemons genuinely overlap: 6 x 0.3 s sleeps finish well under 1.8 s.
+
+        Sleeps do not compete for a CPU, so this holds even on a one-core
+        host — it pins the scheduler's concurrency, not the host's.
+        """
+        backend = ProcessBackend(workers=3)
+        try:
+            start = time.perf_counter()
+            results = backend.map(lambda x: (time.sleep(0.3), x)[1], list(range(6)))
+            elapsed = time.perf_counter() - start
+            assert results == list(range(6))
+            assert elapsed < 1.4  # serial would be ~1.8 s
+        finally:
+            backend.shutdown()
+
+    def test_chronically_dying_workers_raise(self):
+        import signal
+
+        def die(x):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        backend = ProcessBackend(workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="respawn"):
+                backend.map(die, list(range(6)))
         finally:
             backend.shutdown()
 

@@ -1,139 +1,58 @@
-"""Tests for the cluster backend (:mod:`repro.exec.cluster`).
+"""Sharded-map contract of the process backend's daemon cluster.
 
-Pins the sharded-evaluation contract the tentpole introduces: shard plans
-are deterministic and cost-balanced, the worker-daemon protocol returns
-ordered, bit-identical results for any worker count, a killed worker's
-shard is retried on a replacement, store-aware cost hints discount
-already-persisted artefacts, and the full staged pipeline produces
-bit-identical :class:`~repro.core.pipeline.DeploymentReport` JSON under the
-cluster backend with 1, 2 and 5 workers versus the serial reference.
+The process backend runs every map on a local cluster of forked worker
+daemons (:class:`repro.exec.worker.WorkerHost`).  These tests pin what a
+sharded evaluation relies on: results come back ordered and inherit the
+caller's closures, a one-item map stays in the caller, worker-side state
+dies with the worker, worker seconds land on the caller's stage, a failing
+task surfaces its own exception without wedging the backend, and a killed
+worker's item is retried on a replacement daemon.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import NeRFlexPipeline
-from repro.device.models import DeviceProfile
-from repro.exec import (
-    BACKENDS,
-    ArtifactStore,
-    ClusterBackend,
-    ClusterTaskError,
-    DiskArtifactStore,
-    SerialBackend,
-    ShardPlanner,
-    fork_available,
-    resolve_backend,
-    store_aware_costs,
-)
-from repro.exec.worker import SchedulerView, Shard
+from repro.exec import ProcessBackend, fork_available
 from repro.utils.timing import StageTimer
-
-from tests._golden_driver import GOLDEN_DEVICE, golden_config, golden_dataset
-from tests.test_artifact_persistence import make_profile
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs fork")
 
 
-# ---------------------------------------------------------------------------
-# Shard planning
-# ---------------------------------------------------------------------------
+@pytest.fixture
+def make_backend():
+    """Build process backends and reap their daemons after the test."""
+    backends = []
 
+    def build(workers):
+        backend = ProcessBackend(workers=workers)
+        backends.append(backend)
+        return backend
 
-class TestShardPlanner:
-    def test_covers_every_item_exactly_once(self):
-        shards = ShardPlanner().plan(17, workers=4)
-        covered = sorted(i for shard in shards for i in shard.item_indices)
-        assert covered == list(range(17))
-
-    def test_plan_is_deterministic(self):
-        costs = [((i * 7919) % 13) + 0.5 for i in range(40)]
-        first = ShardPlanner().plan(40, workers=3, costs=costs)
-        second = ShardPlanner().plan(40, workers=3, costs=costs)
-        assert first == second
-
-    def test_cost_balancing_lpt(self):
-        # One dominant item must not drag light items into its shard while
-        # other shards idle: LPT puts the heavy item alone.
-        costs = [100.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        shards = ShardPlanner(shards_per_worker=1).plan(6, workers=3, costs=costs)
-        heavy = [shard for shard in shards if 0 in shard.item_indices]
-        assert len(heavy) == 1 and heavy[0].item_indices == (0,)
-        # The light items spread over the remaining shards.
-        assert max(len(shard.item_indices) for shard in shards) <= 4
-
-    def test_oversharding_bounded_by_items_and_workers(self):
-        planner = ShardPlanner(shards_per_worker=3)
-        assert len(planner.plan(100, workers=4)) == 12
-        assert len(planner.plan(2, workers=4)) == 2
-        assert planner.plan(0, workers=4) == []
-
-    def test_min_items_per_shard(self):
-        shards = ShardPlanner(shards_per_worker=8, min_items_per_shard=5).plan(
-            20, workers=8
-        )
-        assert len(shards) == 4
-        assert all(len(shard.item_indices) == 5 for shard in shards)
-
-    def test_cost_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ShardPlanner().plan(3, workers=2, costs=[1.0])
-
-
-class TestStoreAwareCosts:
-    def test_persisted_keys_are_discounted(self, tmp_path):
-        store = DiskArtifactStore(str(tmp_path))
-        hot_key = ("profile", "scene", "stored-object")
-        assert store.put(hot_key, make_profile("stored-object"))
-        keys = [hot_key, ("profile", "scene", "missing"), None]
-        costs = store_aware_costs(keys, store, base_costs=[4.0, 4.0, 4.0])
-        assert costs[0] == pytest.approx(0.2)  # 4.0 * default 0.05 discount
-        assert costs[1] == 4.0 and costs[2] == 4.0
-
-    def test_no_store_leaves_costs_untouched(self):
-        assert store_aware_costs([("k",)], None, base_costs=[2.0]) == [2.0]
-
-    def test_non_canonical_key_is_not_a_hit(self, tmp_path):
-        store = DiskArtifactStore(str(tmp_path))
-        assert store_aware_costs([("profile", object())], store) == [1.0]
-
-
-# ---------------------------------------------------------------------------
-# The cluster map
-# ---------------------------------------------------------------------------
+    yield build
+    for backend in backends:
+        backend.shutdown()
 
 
 @needs_fork
 class TestClusterMap:
-    def test_registered_and_resolvable(self):
-        assert "cluster" in BACKENDS
-        backend = resolve_backend("cluster", workers=3)
-        assert backend.name == "cluster" and backend.workers == 3
-
-    def test_resolve_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cluster")
-        assert resolve_backend(None).name == "cluster"
-
-    def test_ordered_results_and_closure_inheritance(self):
-        backend = ClusterBackend(workers=3)
+    def test_ordered_results_and_closure_inheritance(self, make_backend):
+        backend = make_backend(3)
         weights = np.arange(64, dtype=np.float64)  # closures never pickle
         items = list(range(64))
         assert backend.map(lambda x: float(weights[x] + x), items) == [
             float(2 * x) for x in items
         ]
-        assert backend.stats.maps == 1
-        assert backend.stats.workers_spawned == 3
+        assert backend.host.maps == 1
+        assert backend.host.spawn_count == 3
 
-    def test_single_item_falls_back_to_serial(self):
-        backend = ClusterBackend(workers=4)
+    def test_single_item_falls_back_to_serial(self, make_backend):
+        backend = make_backend(4)
         state = {"touched": False}
 
         def task(x):
@@ -142,10 +61,10 @@ class TestClusterMap:
 
         assert backend.map(task, [7]) == [7]
         assert state["touched"]  # ran in this process
-        assert backend.stats.serial_fallbacks == 1
+        assert backend.host.maps == 0 and backend.host.spawn_count == 0
 
-    def test_side_effects_stay_in_workers(self):
-        backend = ClusterBackend(workers=2)
+    def test_side_effects_stay_in_workers(self, make_backend):
+        backend = make_backend(2)
         state = {"count": 0}
 
         def task(x):
@@ -155,8 +74,8 @@ class TestClusterMap:
         assert backend.map(task, [1, 2, 3, 4]) == [2, 3, 4, 5]
         assert state["count"] == 0
 
-    def test_worker_seconds_attributed_to_stage(self):
-        backend = ClusterBackend(workers=2)
+    def test_worker_seconds_attributed_to_stage(self, make_backend):
+        backend = make_backend(2)
         timer = StageTimer()
         backend.map(
             lambda x: sum(range(4000)), list(range(8)), timer=timer, stage="shards"
@@ -164,57 +83,23 @@ class TestClusterMap:
         assert timer.worker_as_dict()["shards"] > 0.0
         assert timer.as_dict() == {}  # wall-clock stays the caller's
 
-    def test_task_exception_propagates(self):
-        backend = ClusterBackend(workers=2)
+    def test_task_exception_propagates(self, make_backend):
+        backend = make_backend(2)
 
         def boom(x):
             if x == 5:
                 raise ValueError("shard task failed")
             return x
 
-        with pytest.raises(ClusterTaskError, match="shard task failed"):
+        with pytest.raises(ValueError, match="shard task failed"):
             backend.map(boom, list(range(8)))
         # The backend stays usable after a failed map.
         assert backend.map(lambda x: x, [1, 2, 3]) == [1, 2, 3]
 
-    def test_shards_execute_concurrently(self):
-        """Workers genuinely overlap: 6 x 0.3s sleeps finish well under 1.8s.
-
-        Sleeps do not compete for a CPU, so this holds even on a one-core
-        host — it pins the scheduler's concurrency, not the host's.
-        """
-        import time as time_module
-
-        backend = ClusterBackend(workers=3, speculate=False)
-        start = time_module.perf_counter()
-        results = backend.map(
-            lambda x: (time_module.sleep(0.3), x)[1], list(range(6))
-        )
-        elapsed = time_module.perf_counter() - start
-        assert results == list(range(6))
-        assert elapsed < 1.4  # serial would be ~1.8s
-
-    def test_costs_accepted_and_results_unchanged(self):
-        backend = ClusterBackend(workers=2)
-        items = list(range(12))
-        costs = [float((i % 4) + 1) for i in items]
-        assert backend.map(lambda x: x * 3, items, costs=costs) == [
-            x * 3 for x in items
-        ]
-
-    def test_store_hint_counts_cheap_items(self, tmp_path):
-        store = DiskArtifactStore(str(tmp_path))
-        hot_key = ("profile", "scene", "hot")
-        store.put(hot_key, make_profile("hot"))
-        backend = ClusterBackend(workers=2, store=store)
-        keys = [hot_key, ("profile", "scene", "cold-a"), ("profile", "scene", "cold-b")]
-        assert backend.map(lambda x: x, [10, 11, 12], cost_keys=keys) == [10, 11, 12]
-        assert backend.stats.store_cheap_items == 1
-
 
 @needs_fork
 class TestClusterWorkerDeath:
-    def test_killed_worker_shard_is_retried(self, tmp_path):
+    def test_killed_worker_shard_is_retried(self, make_backend, tmp_path):
         sentinel = tmp_path / "killed-once"
 
         def task(x):
@@ -223,7 +108,7 @@ class TestClusterWorkerDeath:
                 os.kill(os.getpid(), signal.SIGKILL)
             return ("ok", x)
 
-        backend = ClusterBackend(workers=2)
+        backend = make_backend(2)
         items = [0, 1, "kill", 3, 4, 5, 6, 7]
         outcome = {}
 
@@ -233,179 +118,8 @@ class TestClusterWorkerDeath:
         thread = threading.Thread(target=run)
         thread.start()
         thread.join(timeout=60.0)
-        assert not thread.is_alive(), "cluster map hung after a worker kill"
+        assert not thread.is_alive(), "process map hung after a worker kill"
         assert outcome["results"] == [("ok", item) for item in items]
-        assert backend.stats.worker_deaths >= 1
-        # A replacement worker was forked beyond the initial set.
-        assert backend.stats.workers_spawned >= 3
-
-    def test_chronically_dying_workers_raise(self):
-        def die(x):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        backend = ClusterBackend(workers=2, max_respawns=2, speculate=False)
-        with pytest.raises(RuntimeError, match="respawn"):
-            backend.map(die, list(range(6)))
-
-
-# ---------------------------------------------------------------------------
-# Shard-count invariance of the staged pipeline
-# ---------------------------------------------------------------------------
-
-
-def _report_record(pipeline_run) -> str:
-    """The timing-free JSON record of one pipeline run (bit-comparable)."""
-    preparation, multi_model, report = pipeline_run
-    record = {
-        "assignments": {
-            name: config.as_tuple()
-            for name, config in sorted(preparation.selection.assignments.items())
-        },
-        "profile_state": [
-            profile.state_tuple() for profile in preparation.profiles
-        ],
-        "report": {
-            "size_mb": multi_model.size_mb(),
-            "per_object_size_mb": dict(sorted(report.per_object_size_mb.items())),
-            "loaded": report.loaded,
-            "ssim": report.ssim,
-            "psnr": report.psnr,
-            "lpips": report.lpips,
-            "per_object_ssim": dict(sorted(report.per_object_ssim.items())),
-            "average_fps": report.average_fps,
-            "num_submodels": report.num_submodels,
-        },
-    }
-    return json.dumps(record, sort_keys=True, default=list)
-
-
-def _run_golden_pipeline(backend):
-    config = golden_config()
-    config.backend = None
-    pipeline = NeRFlexPipeline(GOLDEN_DEVICE, config, backend=backend)
-    return pipeline.run(golden_dataset())
-
-
-@needs_fork
-class TestShardCountInvariance:
-    @pytest.fixture(scope="class")
-    def serial_record(self):
-        return _report_record(_run_golden_pipeline(SerialBackend()))
-
-    # Ids name the worker count and the launcher (fork+socketpair daemons).
-    @pytest.mark.parametrize("workers", [1, 2, 5], ids=lambda w: f"{w}-fork")
-    def test_cluster_matches_serial_bit_identically(self, serial_record, workers):
-        backend = ClusterBackend(workers=workers)
-        try:
-            record = _report_record(_run_golden_pipeline(backend))
-        finally:
-            backend.shutdown()
-        assert record == serial_record
-
-    def test_cluster_with_store_matches_serial(self, serial_record, tmp_path, monkeypatch):
-        # Store-aware path: the shared on-disk store is consulted (and
-        # populated) by the workers; a second run serves profiles from it.
-        # Hermetic against a developer's REPRO_ARTIFACT_DIR: the backend
-        # must pick up the *pipeline's* store, not an env-configured one.
-        monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        store = ArtifactStore(
-            disk=DiskArtifactStore(str(tmp_path / "cluster-store"))
-        )
-        backend = ClusterBackend(workers=2)
-        config = golden_config()
-        config.backend = None
-        first = NeRFlexPipeline(
-            GOLDEN_DEVICE, config, backend=backend, artifacts=store
-        )
-        assert backend.store is store.disk  # pipeline wired the shared tier
-        assert _report_record(first.run(golden_dataset())) == serial_record
-        assert store.disk.stats.puts > 0
-
-        warm_store = ArtifactStore(
-            disk=DiskArtifactStore(str(tmp_path / "cluster-store"))
-        )
-        warm_backend = ClusterBackend(workers=2)
-        second = NeRFlexPipeline(
-            GOLDEN_DEVICE, config, backend=warm_backend, artifacts=warm_store
-        )
-        assert _report_record(second.run(golden_dataset())) == serial_record
-        assert warm_store.recompute_by_kind().get("profile", 0) == 0
-
-
-# ---------------------------------------------------------------------------
-# Steal policy
-# ---------------------------------------------------------------------------
-
-
-def _steal_view(durations, in_flight_index=6, runner=1, age=1.5):
-    """A :class:`SchedulerView` with one singly-dispatched in-flight shard
-    whose dispatch happened ``age`` seconds ago."""
-    now = time.perf_counter()
-    shard = Shard(index=in_flight_index, item_indices=(in_flight_index,), cost=1.0)
-    return SchedulerView(
-        shard_by_index={in_flight_index: shard},
-        completed={},
-        in_flight={in_flight_index: {runner}},
-        dispatch_started={(in_flight_index, runner): now - age},
-        completed_durations=list(durations),
-    )
-
-
-class TestStealPolicy:
-    """The straggler-duplication threshold (satellite fix).
-
-    The old policy thresholded on the *mean* of every completed duration,
-    so a store-warm run full of near-zero shard times dragged the baseline
-    down and duplicated every cold shard.  The fixed policy uses the
-    median of completions *excluding* store-hit shards."""
-
-    WARM_AND_COLD = [(i, 0.001) for i in range(5)] + [(5, 1.0)]
-    WARM_SHARDS = frozenset(range(5))
-
-    def test_warm_store_run_does_not_duplicate_cold_shards(self):
-        # Five warm completions (~1ms each) plus one genuine 1.0s cold
-        # completion; the in-flight cold shard has been running 1.5s.
-        # The old mean-of-everything baseline (~0.17s, threshold ~0.33s)
-        # would have stolen it; the median of non-warm completions (1.0s,
-        # threshold 2.0s) correctly leaves it alone.
-        view = _steal_view(self.WARM_AND_COLD, age=1.5)
-        assert (
-            ClusterBackend._steal_candidate(
-                view, worker_id=2, cheap_shards=self.WARM_SHARDS
-            )
-            is None
-        )
-
-    def test_warm_exclusion_is_load_bearing(self):
-        # Same view without the warm-shard exclusion: the median collapses
-        # to ~1ms and the shard is (wrongly) stolen — pinning that the
-        # exclusion, not the median alone, is what fixes the bug.
-        view = _steal_view(self.WARM_AND_COLD, age=1.5)
-        assert ClusterBackend._steal_candidate(view, worker_id=2) is not None
-
-    def test_genuine_straggler_is_still_stolen(self):
-        # Age 2.5s >= 2 x median(1.0s): a real straggler gets duplicated.
-        view = _steal_view([(0, 1.0), (1, 0.9), (2, 1.1)], age=2.5)
-        candidate = ClusterBackend._steal_candidate(view, worker_id=2)
-        assert candidate is not None and candidate.index == 6
-
-    def test_no_baseline_without_cold_completions(self):
-        # Every completion so far was a store hit: there is no honest
-        # duration baseline, so nothing is stolen no matter the age.
-        view = _steal_view([(0, 0.001), (1, 0.002)], age=100.0)
-        assert (
-            ClusterBackend._steal_candidate(
-                view, worker_id=2, cheap_shards=frozenset({0, 1})
-            )
-            is None
-        )
-
-    def test_never_steals_own_shard(self):
-        view = _steal_view([(0, 0.1)], runner=2, age=10.0)
-        assert ClusterBackend._steal_candidate(view, worker_id=2) is None
-
-    def test_never_duplicates_twice(self):
-        view = _steal_view([(0, 0.1)], age=10.0)
-        view.in_flight[6] = {1, 3}  # already running on two workers
-        assert ClusterBackend._steal_candidate(view, worker_id=2) is None
-
+        assert backend.worker_revivals >= 1
+        # A replacement daemon was forked beyond the initial set.
+        assert backend.host.spawn_count >= 3

@@ -2,13 +2,13 @@
 
 Pins the frame codec — round trips, oversized length fields rejected
 before allocation, no torn frames — and the :class:`~repro.exec.WorkerHost`
-lifecycle both parallel backends share: persistent daemons reused across
+lifecycle behind the process backend: persistent daemons reused across
 maps through the callable-token registry (zero respawns when the callable
 is unchanged), transparent respawn after a SIGKILL between maps, chronic
-death surfacing as an error, and shutdown closing every daemon and socket.
-The parity matrix pins both daemon-backed backends byte-identical to the
-serial loop.  The codec's ndarray segments (the array plane) are pinned in
-``test_exec_arrayplane.py``.
+death surfacing as an error, and shutdown (or garbage collection) reaping
+every daemon and socket.  The parity matrix pins the process backend
+byte-identical to the serial loop.  The codec's ndarray segments (the
+array plane) are pinned in ``test_exec_arrayplane.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import os
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -24,11 +26,9 @@ import numpy as np
 import pytest
 
 from repro.exec import (
-    ClusterBackend,
     FrameProtocolError,
     MAX_FRAME_BYTES,
     ProcessBackend,
-    Shard,
     WorkerHost,
     WorkerTaskError,
     fork_available,
@@ -112,6 +112,62 @@ class TestFrameProtocol:
 # Worker-host lifecycle
 # ---------------------------------------------------------------------------
 
+#: Child script of the GC-finalizer regression: three process backends,
+#: each host in a reference cycle, collected under ``gc.set_threshold(1)``
+#: while the first daemon stop raises.  Prints
+#: ``faults|unraisable|live tokens|daemon states``.
+_GC_FLEET_CHILD = """
+import gc
+import sys
+
+import multiprocessing.popen_fork as popen_fork
+
+from repro.exec import ProcessBackend
+from repro.exec.transport import _IMAGE_TASKS
+
+
+def task(x):
+    return x * 2
+
+
+def state(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return "gone"
+
+
+unraisable = []
+sys.unraisablehook = lambda info: unraisable.append(repr(info.exc_value))
+gc.disable()
+pids = []
+for _ in range(3):
+    backend = ProcessBackend(workers=2)
+    assert backend.map(task, [1, 2, 3, 4]) == [2, 4, 6, 8]
+    pids += [daemon.process.pid for daemon in backend.host._daemons.values()]
+    backend.host.cycle = backend.host  # reclaimable only by the collector
+    del backend
+
+original_wait = popen_fork.Popen.wait
+faults = []
+
+
+def failing_wait(self, timeout=None):
+    if not faults:
+        faults.append(self.pid)
+        raise ImportError("cannot import name 'wait' (partially initialized)")
+    return original_wait(self, timeout)
+
+
+popen_fork.Popen.wait = failing_wait
+gc.set_threshold(1)
+gc.enable()
+gc.collect()
+print(len(faults), unraisable, len(_IMAGE_TASKS),
+      " ".join(state(pid) for pid in pids), sep="|")
+"""
+
 
 def _pid_task(x):
     """Module-level (hence picklable) task with stable identity."""
@@ -120,10 +176,6 @@ def _pid_task(x):
 
 def _pid_task_other(x):
     return (os.getpid(), x + 1000)
-
-
-def one_item_shards(count: int) -> list:
-    return [Shard(index=i, item_indices=(i,), cost=1.0) for i in range(count)]
 
 
 def _wait_until_dead(pids, what: str) -> None:
@@ -158,10 +210,10 @@ class TestWorkerHostReuse:
     def test_daemons_reused_across_maps_same_callable(self, host):
         """The acceptance contract: zero respawns on the second map."""
         items = list(range(8))
-        first, report_a = host.run(_pid_task, items, one_item_shards(8))
+        first, report_a = host.run(_pid_task, items)
         assert [v for _, v in first] == [x * 2 for x in items]
         assert report_a.spawned == 2 and host.spawn_count == 2
-        second, report_b = host.run(_pid_task, items, one_item_shards(8))
+        second, report_b = host.run(_pid_task, items)
         assert [v for _, v in second] == [x * 2 for x in items]
         # Same callable: nothing respawned, the same daemons served it.
         assert report_b.spawned == 0
@@ -173,9 +225,9 @@ class TestWorkerHostReuse:
     def test_fork_transport_respawns_on_callable_change(self):
         host = WorkerHost(workers=2)
         try:
-            host.run(_pid_task, [1, 2, 3, 4], one_item_shards(4))
+            host.run(_pid_task, [1, 2, 3, 4])
             assert host.task_generations == 1 and host.spawn_count == 2
-            results, report = host.run(_pid_task_other, [1, 2], one_item_shards(2))
+            results, report = host.run(_pid_task_other, [1, 2])
             assert [v for _, v in results] == [1001, 1002]
             # A callable travels by fork memory image only, so a new one
             # means a fresh fleet.
@@ -189,27 +241,25 @@ class TestWorkerHostReuse:
         # memory image, like every callable.
         weights = np.arange(8, dtype=np.float64)
         closure = lambda x: float(weights[x] + x)  # noqa: E731
-        results, _ = host.run(closure, list(range(8)), one_item_shards(8))
+        results, _ = host.run(closure, list(range(8)))
         assert results == [float(2 * x) for x in range(8)]
 
     def test_one_shot_items_leave_fleet_intact(self):
         host = WorkerHost(workers=2)
         try:
-            host.run(_pid_task, [1, 2, 3, 4], one_item_shards(4))
+            host.run(_pid_task, [1, 2, 3, 4])
             generations = host.task_generations
             spawned = host.spawn_count
             lock = threading.Lock()
             items = [(lock, value) for value in range(4)]
-            results, report = host.run(
-                lambda item: item[1] * 3, items, one_item_shards(4)
-            )
+            results, report = host.run(lambda item: item[1] * 3, items)
             assert results == [0, 3, 6, 9]
             assert report.one_shot
             # One-shot daemons are extra spawns, but the persistent fleet
             # and its task registration survive for the next reusable map.
             assert host.task_generations == generations
             assert host.spawn_count == spawned + 2
-            _, report = host.run(_pid_task, [5, 6], one_item_shards(2))
+            _, report = host.run(_pid_task, [5, 6])
             assert report.spawned == 0 and report.reused_workers == 2
         finally:
             host.shutdown()
@@ -218,13 +268,13 @@ class TestWorkerHostReuse:
 @needs_fork
 class TestWorkerHostFailure:
     def test_sigkill_between_maps_respawns_transparently(self, host):
-        first, _ = host.run(_pid_task, list(range(8)), one_item_shards(8))
+        first, _ = host.run(_pid_task, list(range(8)))
         victim = sorted({pid for pid, _ in first})[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.time() + 10.0
         while host.alive_workers() > 1 and time.time() < deadline:
             time.sleep(0.02)
-        second, report = host.run(_pid_task, list(range(8)), one_item_shards(8))
+        second, report = host.run(_pid_task, list(range(8)))
         assert [v for _, v in second] == [x * 2 for x in range(8)]
         assert host.worker_deaths >= 1
         assert report.spawned >= 1  # the replacement
@@ -237,30 +287,33 @@ class TestWorkerHostFailure:
         host = WorkerHost(workers=2, max_respawns=2)
         try:
             with pytest.raises(RuntimeError, match="respawn"):
-                host.run(die, list(range(6)), one_item_shards(6))
+                host.run(die, list(range(6)))
         finally:
             host.shutdown()
 
     def test_task_error_raises_worker_task_error(self, host):
+        class LocalError(ValueError):
+            """Defined in a function, so it cannot pickle back."""
+
         def boom(x):
             if x == 3:
-                raise ValueError("worker task failed")
+                raise LocalError("worker task failed")
             return x
 
         with pytest.raises(WorkerTaskError, match="worker task failed"):
-            host.run(boom, list(range(6)), one_item_shards(6))
+            host.run(boom, list(range(6)))
         # The host stays usable after a failed map.
-        results, _ = host.run(_pid_task, [1, 2], one_item_shards(2))
+        results, _ = host.run(_pid_task, [1, 2])
         assert [v for _, v in results] == [2, 4]
 
-    def test_raise_original_restores_exception_type(self, host):
+    def test_original_exception_type_is_restored(self, host):
         def boom(x):
             if x == 1:
                 raise KeyError("lost-key")
             return x
 
         with pytest.raises(KeyError, match="lost-key") as excinfo:
-            host.run(boom, [0, 1, 2, 3], one_item_shards(4), raise_original=True)
+            host.run(boom, [0, 1, 2, 3])
         # The remote traceback rides along as the cause.
         assert isinstance(excinfo.value.__cause__, WorkerTaskError)
 
@@ -270,11 +323,32 @@ class TestWorkerHostFailure:
         import gc
 
         host = WorkerHost(workers=2)
-        results, _ = host.run(_pid_task, list(range(4)), one_item_shards(4))
+        results, _ = host.run(_pid_task, list(range(4)))
         pids = {pid for pid, _ in results}
         del host
         gc.collect()
         _wait_until_dead(pids, "host garbage collection")
+
+    def test_gc_finalizer_survives_a_failing_daemon_stop(self):
+        # Regression: the GC finalizer stopped at the first daemon whose
+        # stop raised (seen as an ImportError from a lazily imported
+        # multiprocessing.connection), leaving the rest of the fleet as
+        # zombies and the task token pinning its closure.
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src
+        completed = subprocess.run(
+            [sys.executable, "-c", _GC_FLEET_CHILD],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        failures, unraisable, tokens, states = completed.stdout.strip().split("|")
+        assert failures == "1"  # the injected fault really fired
+        assert unraisable == "[]"
+        assert tokens == "0"
+        assert states.split() and set(states.split()) == {"gone"}
 
     def test_fork_worker_exits_when_scheduler_side_closes(self):
         # Regression: the worker must not inherit a dup of its *own*
@@ -294,7 +368,7 @@ class TestWorkerHostFailure:
 
     def test_shutdown_reaps_daemons_and_listener(self):
         host = WorkerHost(workers=2)
-        results, _ = host.run(_pid_task, list(range(4)), one_item_shards(4))
+        results, _ = host.run(_pid_task, list(range(4)))
         # The scheduler-side socket each daemon's replies are received on.
         listeners = [daemon.conn for daemon in host._daemons.values()]
         assert len(listeners) == 2
@@ -304,55 +378,55 @@ class TestWorkerHostFailure:
 
 
 # ---------------------------------------------------------------------------
-# Cluster daemons are persistent too
+# Process-backend daemons are persistent
 # ---------------------------------------------------------------------------
 
 
-def _cluster_reuse_task(x):
+def _reuse_task(x):
     return (os.getpid(), x * 7)
 
 
 @pytest.fixture(params=LAUNCHERS)
-def cluster(request):
-    """A two-worker cluster backend per launcher, shut down afterwards."""
-    backend = ClusterBackend(workers=2)
+def process_backend(request):
+    """A two-worker process backend per launcher, shut down afterwards."""
+    backend = ProcessBackend(workers=2)
     yield backend
     backend.shutdown()
 
 
 @needs_fork
-class TestClusterDaemonReuse:
-    def test_consecutive_maps_respawn_nothing(self, cluster):
-        first = cluster.map(_cluster_reuse_task, list(range(12)))
+class TestProcessDaemonReuse:
+    def test_consecutive_maps_respawn_nothing(self, process_backend):
+        first = process_backend.map(_reuse_task, list(range(12)))
         assert [v for _, v in first] == [x * 7 for x in range(12)]
-        spawned = cluster.stats.workers_spawned
-        assert spawned == 2
-        second = cluster.map(_cluster_reuse_task, list(range(12, 24)))
+        host = process_backend.host
+        assert host.spawn_count == 2
+        second = process_backend.map(_reuse_task, list(range(12, 24)))
         assert [v for _, v in second] == [x * 7 for x in range(12, 24)]
-        # The acceptance criterion: daemons reused, respawn count zero.
-        assert cluster.stats.workers_spawned == spawned
-        assert cluster.stats.maps_reusing_daemons == 1
-        assert cluster.host.reused_maps == 1
+        # Daemons reused, respawn count zero.
+        assert host.spawn_count == 2
+        assert process_backend.fork_count == 1
+        assert host.reused_maps == 1
         assert {pid for pid, _ in second} <= {pid for pid, _ in first}
 
-    def test_sigkill_between_cluster_maps_is_transparent(self):
-        backend = ClusterBackend(workers=2)
+    def test_sigkill_between_maps_is_transparent(self):
+        backend = ProcessBackend(workers=2)
         try:
-            first = backend.map(_cluster_reuse_task, list(range(8)))
+            first = backend.map(_reuse_task, list(range(8)))
             victim = sorted({pid for pid, _ in first})[0]
             os.kill(victim, signal.SIGKILL)
             deadline = time.time() + 10.0
             while backend.host.alive_workers() > 1 and time.time() < deadline:
                 time.sleep(0.02)
-            second = backend.map(_cluster_reuse_task, list(range(8)))
+            second = backend.map(_reuse_task, list(range(8)))
             assert [v for _, v in second] == [x * 7 for x in range(8)]
-            assert backend.stats.worker_deaths >= 1
+            assert backend.worker_revivals >= 1
         finally:
             backend.shutdown()
 
 
 # ---------------------------------------------------------------------------
-# Parity matrix: {process, cluster} x {1, 2, 5 workers} against serial
+# Parity matrix: process x {1, 2, 5 workers} against serial
 # ---------------------------------------------------------------------------
 
 
@@ -363,11 +437,7 @@ def _golden_array_task(x):
     return np.sin(base * 1e-3) * float(x + 1)
 
 
-PARITY_MATRIX = [
-    (backend, workers)
-    for backend in (ProcessBackend, ClusterBackend)
-    for workers in (1, 2, 5)
-]
+PARITY_MATRIX = [(ProcessBackend, workers) for workers in (1, 2, 5)]
 
 
 @needs_fork
@@ -383,7 +453,7 @@ class TestParityMatrix:
     def test_map_results_bit_identical_to_serial(
         self, backend_cls, workers, reference
     ):
-        # The acceptance pin: the daemon backends are pure carriers —
+        # The acceptance pin: the daemon backend is a pure carrier —
         # every cell returns byte-identical arrays in item order.
         backend = backend_cls(workers=workers)
         try:

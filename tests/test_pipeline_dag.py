@@ -24,8 +24,7 @@ from repro.scenes.dataset import generate_dataset
 from repro.scenes.objects import make_cube, make_sphere
 from repro.scenes.scene import PlacedObject, Scene
 
-from tests._golden_driver import GOLDEN_DEVICE, golden_config
-from tests.test_exec_cluster import _report_record
+from tests._golden_driver import GOLDEN_DEVICE, golden_config, report_record
 
 # Concurrent profile fits can race the process-global warnings filters, so
 # scipy's cosmetic OptimizeWarning occasionally escapes QualityModel.fit's
@@ -73,7 +72,7 @@ def corpus_jobs():
 
 
 def corpus_records(runs) -> list:
-    return [_report_record(run) for run in runs]
+    return [report_record(run) for run in runs]
 
 
 class TestCorpusDagParity:
@@ -134,7 +133,7 @@ class TestSingleSceneDag:
         dag = NeRFlexPipeline(GOLDEN_DEVICE, config=config).run(
             corpus_dataset("corpus-pair")
         )
-        assert _report_record(dag) == _report_record(sequential)
+        assert report_record(dag) == report_record(sequential)
         assert sorted(dag[2].stage_seconds) == sorted(sequential[2].stage_seconds)
 
     def test_dag_workers_env_routing(self, monkeypatch):

@@ -461,29 +461,23 @@ class TestEngineKernelKnob:
             RenderEngine(kernel="bogus")
 
 
-class CostSpyBackend(SerialBackend):
-    """A serial backend that records the cost hints handed to map()."""
-
-    supports_cost_hints = True
+class ChunkSpyBackend(SerialBackend):
+    """A serial backend that records the chunk starts handed to map()."""
 
     def __init__(self):
         super().__init__()
-        self.cost_lists = []
+        self.item_lists = []
 
-    def map(self, fn, items, timer=None, stage=None, costs=None):
-        if costs is not None:
-            self.cost_lists.append(list(costs))
+    def map(self, fn, items, timer=None, stage=None):
+        items = list(items)
+        self.item_lists.append(items)
         return super().map(fn, items, timer=timer, stage=stage)
 
 
-class TestBakedCostHints:
-    def test_costs_reflect_candidate_count_not_ray_count(
-        self, baked_models, two_object_scene
-    ):
-        """Regression pin: the baked marcher's chunk costs are derived from
-        the candidate rays that actually march, not the full ray batch
-        (fixed when the shard scheduler landed; a num_rays regression would
-        overweight every baked shard)."""
+class TestBakedChunking:
+    def test_chunks_cover_candidates_not_rays(self, baked_models, two_object_scene):
+        """Regression pin: the baked marcher chunks only the candidate rays
+        that actually enter the grid, not the full ray batch."""
         camera = orbit_cameras(
             two_object_scene.center, radius=2.5 * two_object_scene.extent,
             count=1, width=40, height=40,
@@ -497,12 +491,8 @@ class TestBakedCostHints:
         num_rays = origins.shape[0]
         assert 0 < candidates < num_rays  # the distant camera misses a lot
 
-        spy = CostSpyBackend()
+        spy = ChunkSpyBackend()
         chunk_rays = max(candidates // 3, 1)  # force several chunks
         engine = RenderEngine(kernel="numpy", chunk_rays=chunk_rays, backend=spy)
         engine._march_baked_single(model, origins, directions, step_scale=0.5)
-        assert spy.cost_lists, "no cost hints reached the backend"
-        costs = spy.cost_lists[0]
-        assert sum(costs) == pytest.approx(candidates)
-        assert max(costs) <= chunk_rays
-        assert sum(costs) < num_rays
+        assert spy.item_lists == [list(range(0, candidates, chunk_rays))]
