@@ -82,7 +82,7 @@ class TestAnalysisBenchmarks:
             "functions": len(graph.index.functions),
             "edges": sum(len(out) for out in graph.edges.values()),
             "shipped_entries": len(graph.shipped_entries),
-            "dag_entries": len(graph.dag_entries),
+            "pool_entries": len(graph.pool_entries),
             "worker_shipped_scope": len(shipped),
             "concurrent_scope": len(concurrent),
         }

@@ -1,12 +1,12 @@
-"""Corpus-level pipeline benchmark: sequential vs stage-DAG scheduling.
+"""Corpus-level pipeline benchmark: sequential vs thread-pool scheduling.
 
 Runs a small corpus of independent scenes through
 :func:`repro.core.pipeline.run_corpus` twice — once sequentially and once
-under the stage-DAG scheduler — asserts the two produce bit-identical
-deployment records, and publishes the wall clocks to the session's
-``BENCH_<suite>.json`` trajectory.
+with whole scenes overlapping on a thread pool — asserts the two produce
+bit-identical deployment records, and publishes the wall clocks to the
+session's ``BENCH_<suite>.json`` trajectory.
 
-The >= 1.3x speedup acceptance bar only holds where stages can genuinely
+The >= 1.3x speedup acceptance bar only holds where scenes can genuinely
 overlap, so it is asserted on hosts with at least four CPU cores (the CI
 runner) and recorded — not enforced — elsewhere.
 """
@@ -45,18 +45,18 @@ CORPUS_SCENES = {
     ],
 }
 
-#: DAG worker count: enough to overlap the three scenes' stages, bounded
-#: by the host so a small runner is not oversubscribed.
-DAG_WORKERS = max(2, min(4, os.cpu_count() or 1))
+#: Pool worker count: enough to overlap the three scenes, bounded by the
+#: host so a small runner is not oversubscribed.
+POOL_WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 
 def corpus_config() -> PipelineConfig:
     """A small, serial-backend pipeline configuration.
 
-    The inner backends stay serial deliberately: the DAG's worker threads
-    are the only concurrency, so no stage forks while the scheduler holds
+    The inner backends stay serial deliberately: the pool's worker threads
+    are the only concurrency, so no stage forks while the pool holds
     threads (the fork-while-threaded hazard), and the measured speedup is
-    attributable to stage overlap alone.
+    attributable to scene overlap alone.
     """
     return PipelineConfig(
         config_space=ConfigurationSpace(granularities=(8, 12, 16), patch_sizes=(1, 2)),
@@ -122,34 +122,34 @@ def test_corpus_dag_matches_sequential_and_overlaps(bench_metrics):
     sequential_runs = run_corpus(sequential_jobs, workers=0)
     sequential_seconds = time.perf_counter() - started
 
-    dag_jobs = corpus_jobs()
+    pool_jobs = corpus_jobs()
     started = time.perf_counter()
-    dag_runs = run_corpus(dag_jobs, workers=DAG_WORKERS)
-    dag_seconds = time.perf_counter() - started
+    pool_runs = run_corpus(pool_jobs, workers=POOL_WORKERS)
+    pool_seconds = time.perf_counter() - started
 
     # Bit-identity first: overlap is worthless if it changes the outputs.
     sequential_records = [run_record(run) for run in sequential_runs]
-    dag_records = [run_record(run) for run in dag_runs]
-    assert dag_records == sequential_records
+    pool_records = [run_record(run) for run in pool_runs]
+    assert pool_records == sequential_records
 
-    speedup = sequential_seconds / max(dag_seconds, 1e-9)
+    speedup = sequential_seconds / max(pool_seconds, 1e-9)
     bench_metrics["pipeline"] = {
         "scenes": sorted(CORPUS_SCENES),
-        "workers": DAG_WORKERS,
+        "workers": POOL_WORKERS,
         "cpu_count": os.cpu_count(),
         "sequential_seconds": round(sequential_seconds, 3),
-        "dag_seconds": round(dag_seconds, 3),
+        "pool_seconds": round(pool_seconds, 3),
         "speedup": round(speedup, 3),
     }
     print(
         f"\n[pipeline corpus] sequential {sequential_seconds:.2f}s, "
-        f"dag({DAG_WORKERS}) {dag_seconds:.2f}s, speedup {speedup:.2f}x"
+        f"pool({POOL_WORKERS}) {pool_seconds:.2f}s, speedup {speedup:.2f}x"
     )
 
     if (os.cpu_count() or 1) >= 4:
         assert speedup >= 1.3, (
-            f"stage-DAG corpus run only {speedup:.2f}x faster than "
-            f"sequential ({dag_seconds:.2f}s vs {sequential_seconds:.2f}s) "
-            f"with {DAG_WORKERS} workers on {os.cpu_count()} cores"
+            f"thread-pool corpus run only {speedup:.2f}x faster than "
+            f"sequential ({pool_seconds:.2f}s vs {sequential_seconds:.2f}s) "
+            f"with {POOL_WORKERS} workers on {os.cpu_count()} cores"
         )
 

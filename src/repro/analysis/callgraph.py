@@ -20,9 +20,10 @@ This module builds the interprocedural layer those rules lack:
 * **Scopes** — :func:`worker_shipped_scope` closes over every callable
   passed to ``Backend.map(...)`` / ``WorkerHost.run(...)`` (including
   factory calls in task position: the factory and everything it defines
-  are shipped); :func:`concurrent_scope` additionally closes over
-  ``DagNode`` bodies, since the stage-DAG scheduler and the thread
-  backend run those concurrently in one process.
+  are shipped); :func:`concurrent_scope` additionally closes over every
+  callable passed to a thread pool's ``map(...)`` / ``submit(...)`` —
+  the thread backend's tasks and ``run_corpus``'s whole-scene jobs run
+  concurrently in one process.
 
 Reachability is reported with its witness chain (``root -> a -> b``) so
 a finding names *how* the hazard is reachable, not just that it is.
@@ -50,7 +51,7 @@ def dotted_name(node) -> "str | None":
 def module_name_for_path(path: str) -> str:
     """The dotted module name a repo path denotes.
 
-    ``src/repro/exec/dag.py`` -> ``repro.exec.dag``; paths outside a
+    ``src/repro/exec/worker.py`` -> ``repro.exec.worker``; paths outside a
     ``src`` root (``tests/test_x.py``) keep their full dotted form.  The
     *last* ``src`` segment wins so fixture trees under ``tmp/src/...``
     resolve like the real tree.
@@ -165,6 +166,13 @@ class _Resolver:
         own_class = (
             f"{self.module_name}:{info.class_name}" if info.class_name else None
         )
+        # parameters annotated with a known class bind like constructed
+        # locals (``def job(pipeline: NeRFlexPipeline)``)
+        arguments = info.node.args
+        for arg in arguments.args + arguments.kwonlyargs:
+            class_key = self._resolve_class(dotted_name(arg.annotation))
+            if class_key is not None:
+                self.instances[arg.arg] = class_key
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Assign):
                 continue
@@ -279,8 +287,8 @@ class CallGraph:
     edges: dict = field(default_factory=dict)
     #: qualified names of callables passed to Backend.map / WorkerHost.run
     shipped_entries: tuple = ()
-    #: qualified names of callables passed as DagNode bodies
-    dag_entries: tuple = ()
+    #: qualified names of callables passed to a thread pool's map / submit
+    pool_entries: tuple = ()
 
     def reachable(self, roots) -> dict:
         """Worklist closure from ``roots``: qualified name -> witness chain
@@ -312,17 +320,16 @@ def _is_worker_dispatch(call) -> bool:
     return func.attr == "run" and "host" in receiver
 
 
-def _dag_body_expr(call) -> "object | None":
-    """The ``body=`` expression of a ``DagNode(...)`` construction."""
-    callee = (dotted_name(call.func) or "").split(".")[-1]
-    if callee != "DagNode":
-        return None
-    for keyword in call.keywords:
-        if keyword.arg == "body":
-            return keyword.value
-    if len(call.args) >= 4:  # DagNode(name, stage, scene, body, ...)
-        return call.args[3]
-    return None
+def _is_pool_dispatch(call) -> bool:
+    """``<...pool>.map(fn, ...)`` / ``<...executor>.submit(fn, ...)``: a
+    thread pool runs its first argument concurrently in this process."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or not call.args:
+        return False
+    receiver = (dotted_name(func.value) or "").lower()
+    return func.attr in ("map", "submit") and (
+        "pool" in receiver or "executor" in receiver
+    )
 
 
 def _entry_targets(resolver, expr) -> list:
@@ -342,7 +349,7 @@ def build_call_graph(modules) -> CallGraph:
     """The reference graph over every function in the context list."""
     index = build_index(modules)
     graph = CallGraph(index=index)
-    shipped, dag_bodies = set(), set()
+    shipped, pooled = set(), set()
     for qualname in sorted(index.functions):
         info = index.functions[qualname]
         resolver = _Resolver(index, info)
@@ -361,9 +368,8 @@ def build_call_graph(modules) -> CallGraph:
                     callees.add(target)
                 if _is_worker_dispatch(node):
                     shipped.update(_entry_targets(resolver, node.args[0]))
-                body = _dag_body_expr(node)
-                if body is not None:
-                    dag_bodies.update(_entry_targets(resolver, body))
+                if _is_pool_dispatch(node):
+                    pooled.update(_entry_targets(resolver, node.args[0]))
             elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                 getattr(node, "ctx", None), ast.Load
             ):
@@ -375,7 +381,7 @@ def build_call_graph(modules) -> CallGraph:
         callees.discard(qualname)
         graph.edges[qualname] = tuple(sorted(callees))
     graph.shipped_entries = tuple(sorted(shipped))
-    graph.dag_entries = tuple(sorted(dag_bodies))
+    graph.pool_entries = tuple(sorted(pooled))
     return graph
 
 
@@ -388,8 +394,8 @@ def worker_shipped_scope(graph: CallGraph) -> dict:
 def concurrent_scope(graph: CallGraph) -> dict:
     """Qualified name -> witness chain, for every function that can run
     concurrently in one process: the worker-shipped closure (thread
-    backend) unioned with the ``DagNode`` body closure (stage-DAG pool)."""
-    return graph.reachable(graph.shipped_entries + graph.dag_entries)
+    backend) unioned with the closure of every thread-pool job."""
+    return graph.reachable(graph.shipped_entries + graph.pool_entries)
 
 
 def format_chain(chain) -> str:

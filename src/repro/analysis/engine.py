@@ -42,14 +42,10 @@ GOLDEN_PACKAGES = (
     # and must stay in scope even if the render package is ever split.
     ("repro", "render", "kernels"),
     ("repro", "baking"),
-    # Likewise covered by ("repro", "exec") but pinned explicitly: the DAG
-    # scheduler's artifact mapping keys a golden parity tier (bit-identical
-    # reports for any worker count) and must stay in scope even if the exec
-    # package is ever split.
-    ("repro", "exec", "dag.py"),
-    # The frame codec, pinned for the same reason: it carries every golden
-    # map's payload bytes, and worker-daemon parity with the serial loop is
-    # itself a pinned tier.
+    # Likewise covered by ("repro", "exec") but pinned explicitly: the
+    # frame codec carries every golden map's payload bytes, and
+    # worker-daemon parity with the serial loop is itself a pinned tier, so
+    # it must stay in scope even if the exec package is ever split.
     ("repro", "exec", "transport.py"),
 )
 

@@ -927,7 +927,7 @@ class ReachableLockRule(_ReachabilityRule):
 
 class ConcurrentGlobalStateRule(_ReachabilityRule):
     """Mutation of process-global library state reachable from code that
-    runs concurrently (thread-backend tasks and stage-DAG node bodies).
+    runs concurrently (thread-backend tasks and thread-pool jobs).
     This is exactly the PR 8 ``QualityModel.fit`` race: a
     ``simplefilter("error", ...)`` probe in one fit flips the warning
     filters under every concurrent fit.  ``"ignore"``-action filter calls

@@ -454,8 +454,8 @@ def make_rlock(name: str = "lock"):
 
 def task_span():
     """Context manager marking one concurrently-running task (no-op when
-    the sanitizer is off); the DAG scheduler and thread backend open one
-    around every body/task they run."""
+    the sanitizer is off); the thread backend and ``run_corpus``'s pool
+    open one around every task and corpus job they run."""
     return _GLOBAL.task_span() if _GLOBAL is not None else _NULL_SPAN
 
 

@@ -66,11 +66,6 @@ def parse_mb_bytes(raw: str) -> int:
     return max(int(float(raw) * (1 << 20)), 1 << 20)
 
 
-def parse_non_negative_int(raw: str) -> int:
-    """An integer count, floored at 0."""
-    return max(int(raw), 0)
-
-
 # ---------------------------------------------------------------------------
 # The variable type and registry
 # ---------------------------------------------------------------------------
@@ -188,16 +183,6 @@ REPRO_ARTIFACT_MAX_MB = register(EnvVar(
     "MiB; LRU-evicted by access time beyond it.",
     consumers=("repro.exec.persist",),
     default_text="4 GiB (floor 1 MiB)",
-))
-
-REPRO_DAG_WORKERS = register(EnvVar(
-    name="REPRO_DAG_WORKERS",
-    default=0,
-    parser=parse_non_negative_int,
-    description="Worker count of the stage-DAG pipeline scheduler when the "
-    "caller does not pick one; 0 keeps the sequential staged path.",
-    consumers=("repro.core.pipeline",),
-    default_text="0 (sequential)",
 ))
 
 REPRO_SANITIZE = register(EnvVar(

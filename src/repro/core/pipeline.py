@@ -17,20 +17,15 @@
 The wall-clock split across segmentation / profiler / solver is recorded for
 the overhead analysis (Fig. 9).
 
-The staged chain also exists as an explicit task DAG
-(:meth:`NeRFlexPipeline.build_dag`, scheduled by
-:class:`~repro.exec.dag.DagScheduler`): one node per stage, edges derived
-from the artifacts the stages exchange.  For a single scene the DAG is a
-chain — same stages, same timers, bit-identical reports — but
-:func:`run_corpus` unions the DAGs of several independent scenes into one
-graph, so profile/bake/deploy of different scenes overlap on a worker pool
-while per-scene stage order is preserved by the artifact edges alone.
-Node costs are static per-stage hints scaled by the scene's object count.
+Independent scenes share nothing, so :func:`run_corpus` overlaps them by
+running each scene's whole chain on a thread pool; the parallelism inside
+one chain is per object, on the pipeline's execution backend.
 """
 
 from __future__ import annotations
 
 import contextlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,17 +38,16 @@ from repro.baking.baked_model import (
     bake_geometry,
     field_cache_identity,
 )
+from repro.analysis.sanitize import task_span
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.profiler import ObjectProfile, ProfileFitter
 from repro.core.segmentation import DetailBasedSegmenter, SegmentationResult, SubScene
 from repro.core.selector import NeRFlexDPSelector, SelectionResult
-from repro.config import env as repro_env
 from repro.device.memory import MemoryModel
 from repro.device.models import DeviceProfile
 from repro.device.render_sim import RenderSimulator
 from repro.exec.artifacts import ArtifactStore
 from repro.exec.backends import Backend, resolve_backend
-from repro.exec.dag import DagNode, DagScheduler, DagValidationError, TaskDag
 from repro.metrics import lpips_proxy, psnr, ssim
 from repro.metrics.fps import FPSTrace
 from repro.nerf.degradation import DegradedField, coverage_detail_scale
@@ -111,12 +105,6 @@ class PipelineConfig:
             installed, numpy otherwise).  Marching and sphere tracing are
             bit-identical across kernels; the volume path is pinned to a
             few ULP (see DESIGN.md "Kernels").
-        dag_workers: worker count of the stage-DAG scheduler that
-            :meth:`NeRFlexPipeline.run` (and :func:`run_corpus`) route
-            through when positive; ``0`` keeps the sequential staged path
-            and ``None`` consults ``REPRO_DAG_WORKERS``.  Reports are
-            bit-identical for any count (pinned in
-            ``tests/test_pipeline_dag.py``); only wall-clock changes.
     """
 
     config_space: ConfigurationSpace = field(default_factory=ConfigurationSpace)
@@ -135,7 +123,6 @@ class PipelineConfig:
     render_workers: "int | None" = None
     backend: "str | None" = None
     kernel: "str | None" = None
-    dag_workers: "int | None" = None
 
 
 @dataclass
@@ -226,18 +213,6 @@ def _bake_geometry_task(task: tuple):
     identity is stable across maps and pipelines — bake maps on every
     pipeline reuse the same worker daemons instead of respawning them)."""
     return bake_geometry(task[1], task[2])
-
-
-#: Static per-stage cost hints (relative units, scaled by object count) the
-#: DAG scheduler dispatches by, heaviest ready stage first.  Keys are the
-#: stage timer channels.
-STATIC_STAGE_HINTS = {
-    "segmentation": 1.0,
-    "profiler": 8.0,
-    "solver": 1.0,
-    "bake": 4.0,
-    "deploy": 2.0,
-}
 
 
 def object_evaluation_cameras(dataset, resolution: int = 128) -> dict:
@@ -905,166 +880,8 @@ class NeRFlexPipeline:
             report.artifact_stats = self.artifacts.stats_summary()
         return report
 
-    # -- the stage DAG ----------------------------------------------------------
-
-    @staticmethod
-    def _stage_node_cost(stage: str, objects: int) -> float:
-        """Relative cost of one stage node: :data:`STATIC_STAGE_HINTS`
-        scaled by the scene's object count."""
-        return STATIC_STAGE_HINTS.get(stage, 1.0) * max(float(objects), 1.0)
-
-    def build_dag(self, dataset, dag: "TaskDag | None" = None) -> TaskDag:
-        """Add this pipeline's staged run on ``dataset`` to a task DAG.
-
-        One :class:`~repro.exec.dag.DagNode` per stage, named
-        ``"<stage>:<scene>"`` and exchanging artifacts named
-        ``"<scene>/<artifact>"`` (``scene`` is the dataset name).  The
-        caller seeds ``"<scene>/dataset"``; the run produces
-        ``"<scene>/preparation"``, ``"<scene>/bundle"`` and
-        ``"<scene>/report"``.  Node bodies run the exact same timed stage
-        code as :meth:`prepare` / :meth:`bake` / :meth:`deploy` — same
-        :class:`~repro.utils.timing.StageTimer` channels, same engine
-        attribution — so a DAG run's reports are bit-identical to the
-        sequential path for any worker count (timings excepted, as always).
-        Within one scene the nodes form a chain, so per-scene stage order
-        (and the engine's one-attribution-at-a-time discipline) is
-        preserved by the artifact edges alone; parallelism comes from
-        unioning several scenes' chains into one graph
-        (:func:`run_corpus`).  Node costs are static per-stage hints
-        (:meth:`_stage_node_cost`), so the scheduler dispatches the
-        heaviest ready stage first.
-
-        Pass an existing ``dag`` to union several pipelines' chains; scene
-        names must be unique across them (enforced by the DAG's
-        unique-producer rule).
-        """
-        dag = dag if dag is not None else TaskDag()
-        scene = getattr(dataset, "name", "") or "scene"
-        objects = len(dataset.scene.placed)
-
-        def segment_body(inputs: dict) -> dict:
-            timers = StageTimer()
-            with timers.time("segmentation"):
-                segmentation = self.stage_segment(inputs[f"{scene}/dataset"])
-            return {
-                f"{scene}/segmentation": segmentation,
-                f"{scene}/timers": timers,
-            }
-
-        dag.add(DagNode(
-            name=f"segment:{scene}",
-            stage="segmentation",
-            scene=scene,
-            body=segment_body,
-            inputs=(f"{scene}/dataset",),
-            outputs=(f"{scene}/segmentation", f"{scene}/timers"),
-            cost=self._stage_node_cost("segmentation", objects),
-        ))
-
-        def profile_body(inputs: dict):
-            timers = inputs[f"{scene}/timers"]
-            with timers.time("profiler"), self.engine.attribute(
-                timers, "render:profiler"
-            ):
-                return self.stage_profile(
-                    inputs[f"{scene}/dataset"],
-                    inputs[f"{scene}/segmentation"],
-                    timers,
-                )
-
-        dag.add(DagNode(
-            name=f"profile:{scene}",
-            stage="profiler",
-            scene=scene,
-            body=profile_body,
-            inputs=(
-                f"{scene}/dataset",
-                f"{scene}/segmentation",
-                f"{scene}/timers",
-            ),
-            outputs=(f"{scene}/profile",),
-            cost=self._stage_node_cost("profiler", objects),
-        ))
-
-        def select_body(inputs: dict) -> PreparationResult:
-            timers = inputs[f"{scene}/timers"]
-            fields, truths, profiles = inputs[f"{scene}/profile"]
-            with timers.time("solver"):
-                selection = self.stage_select(profiles)
-            return PreparationResult(
-                segmentation=inputs[f"{scene}/segmentation"],
-                profiles=profiles,
-                selection=selection,
-                timers=timers,
-                fields=fields,
-                truths=truths,
-                dataset_name=getattr(inputs[f"{scene}/dataset"], "name", ""),
-            )
-
-        dag.add(DagNode(
-            name=f"select:{scene}",
-            stage="solver",
-            scene=scene,
-            body=select_body,
-            inputs=(
-                f"{scene}/dataset",
-                f"{scene}/segmentation",
-                f"{scene}/profile",
-                f"{scene}/timers",
-            ),
-            outputs=(f"{scene}/preparation",),
-            cost=self._stage_node_cost("solver", objects),
-        ))
-
-        def bake_body(inputs: dict) -> BakedMultiModel:
-            return self.bake(inputs[f"{scene}/preparation"])
-
-        dag.add(DagNode(
-            name=f"bake:{scene}",
-            stage="bake",
-            scene=scene,
-            body=bake_body,
-            inputs=(f"{scene}/preparation",),
-            outputs=(f"{scene}/bundle",),
-            cost=self._stage_node_cost("bake", objects),
-        ))
-
-        def deploy_body(inputs: dict) -> DeploymentReport:
-            return self.deploy(
-                inputs[f"{scene}/bundle"],
-                inputs[f"{scene}/dataset"],
-                inputs[f"{scene}/preparation"],
-            )
-
-        dag.add(DagNode(
-            name=f"deploy:{scene}",
-            stage="deploy",
-            scene=scene,
-            body=deploy_body,
-            inputs=(
-                f"{scene}/bundle",
-                f"{scene}/dataset",
-                f"{scene}/preparation",
-            ),
-            outputs=(f"{scene}/report",),
-            cost=self._stage_node_cost("deploy", objects),
-        ))
-        return dag
-
-    def _dag_workers(self) -> int:
-        """The effective stage-DAG worker count (config, else environment)."""
-        workers = self.config.dag_workers
-        if workers is None:
-            workers = repro_env.REPRO_DAG_WORKERS.get()
-        return max(int(workers), 0)
-
     def run(self, dataset) -> tuple:
         """Full staged pipeline: segment/profile/select, bake, deploy.
-
-        Routed through the stage-DAG scheduler when ``config.dag_workers``
-        (or ``REPRO_DAG_WORKERS``) is positive — for a single scene the DAG
-        is a chain, so this exercises the DAG machinery without changing
-        any output; the sequential staged path remains the default.
 
         Returns:
             ``(preparation, multi_model, report)``.  Every stage's
@@ -1072,76 +889,57 @@ class NeRFlexPipeline:
             ``profiler`` / ``solver`` / ``bake`` / ``deploy``), and the
             report records the split together with the execution backend.
         """
-        workers = self._dag_workers()
-        if workers > 0:
-            scene = getattr(dataset, "name", "") or "scene"
-            result = DagScheduler(workers=workers).run(
-                self.build_dag(dataset),
-                artifacts={f"{scene}/dataset": dataset},
-            )
-            return (
-                result.artifacts[f"{scene}/preparation"],
-                result.artifacts[f"{scene}/bundle"],
-                result.artifacts[f"{scene}/report"],
-            )
         preparation = self.prepare(dataset)
         multi_model = self.bake(preparation)
         report = self.deploy(multi_model, dataset, preparation)
         return preparation, multi_model, report
 
 
+def _run_job(pipeline: NeRFlexPipeline, dataset) -> tuple:
+    """One corpus job on a pool thread, counted as in flight by the
+    concurrency sanitizer (``task_span`` is a no-op unless it is armed)."""
+    with task_span():
+        return pipeline.run(dataset)
+
+
 def run_corpus(jobs, workers: int = 0) -> list:
     """Run several independent ``(pipeline, dataset)`` jobs, optionally
-    overlapping their stages on the stage-DAG scheduler.
+    overlapping whole scenes on a thread pool.
 
     Args:
-        jobs: ``(pipeline, dataset)`` pairs.  Dataset names must be unique
-            (they key the artifact namespace), and with ``workers > 0``
-            each job must bring its **own** pipeline instance — a
-            pipeline's engine attributes render time to one stage at a
-            time, so sharing one across concurrently running scenes would
-            cross-credit their timers.
+        jobs: ``(pipeline, dataset)`` pairs.  With ``workers > 0`` each job
+            must bring its **own** pipeline instance and its own render
+            engine: an engine attributes chunk time to one stage at a time
+            (instance state), so concurrent scenes sharing one would credit
+            each other's ``render:<stage>`` seconds.
         workers: ``0`` runs the jobs as a plain sequential
             ``pipeline.run(dataset)`` loop — the bit-identity reference;
-            ``>= 1`` unions every job's stage chain into one task DAG and
-            schedules it on that many workers, so stages of *different*
-            scenes overlap while per-scene stage order is preserved.
+            ``>= 1`` maps every job's ``run`` over a thread pool of that
+            many workers.  Scenes share nothing, so each runs whole; the
+            heavy numerics release the GIL or fan out through the
+            pipeline's own backend.
 
     Returns:
         One ``(preparation, multi_model, report)`` tuple per job, in job
         order — identical (timings aside) for every ``workers`` value,
-        pinned by the golden DAG-parity tier.
+        pinned by the golden corpus-parity tier.
     """
     jobs = list(jobs)
     if workers <= 0:
         return [pipeline.run(dataset) for pipeline, dataset in jobs]
-    dag = TaskDag()
-    seeds: dict = {}
-    scenes: list = []
-    pipelines: list = []
-    for pipeline, dataset in jobs:
-        scene = getattr(dataset, "name", "") or "scene"
-        if scene in scenes:
-            raise DagValidationError(
-                f"duplicate scene label {scene!r} in corpus; dataset names "
-                "key the artifact namespace and must be unique"
-            )
-        if any(pipeline is previous for previous in pipelines):
-            raise DagValidationError(
-                "one pipeline instance appears in several corpus jobs; each "
-                "job needs its own (engines attribute render time to one "
-                "running stage at a time)"
-            )
-        pipelines.append(pipeline)
-        pipeline.build_dag(dataset, dag=dag)
-        seeds[f"{scene}/dataset"] = dataset
-        scenes.append(scene)
-    result = DagScheduler(workers=workers).run(dag, artifacts=seeds)
-    return [
-        (
-            result.artifacts[f"{scene}/preparation"],
-            result.artifacts[f"{scene}/bundle"],
-            result.artifacts[f"{scene}/report"],
+    pipelines = [pipeline for pipeline, _ in jobs]
+    engines = [pipeline.engine for pipeline in pipelines]
+    if any(
+        engine is earlier
+        for index, engine in enumerate(engines)
+        for earlier in engines[:index]
+    ):
+        # A shared pipeline shares its engine, so this covers both.
+        raise ValueError(
+            "several corpus jobs share one pipeline or render engine; each "
+            "job needs its own (an engine attributes render time to one "
+            "running stage at a time)"
         )
-        for scene in scenes
-    ]
+    datasets = [dataset for _, dataset in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_job, pipelines, datasets))

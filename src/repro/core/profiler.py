@@ -115,7 +115,7 @@ class QualityModel:
             # samples) make the covariance inestimable; scipy fills pcov
             # with inf and warns.  The condition is read off pcov rather
             # than by escalating the warning to an error: warning filters
-            # are process-global state, and the stage-DAG scheduler fits
+            # are process-global state, and a threaded corpus run fits
             # profiles of independent scenes concurrently — an "error"
             # filter installed here could be restored mid-fit by a sibling
             # thread (or leak into its fits), making the fallback decision

@@ -9,9 +9,7 @@ segments), :mod:`repro.exec.artifacts` for the two-level store that lets
 staged pipeline runs reuse profile curves and baked models across devices,
 selectors and repeated ``prepare()`` calls, and :mod:`repro.exec.persist`
 for the on-disk tier that extends that reuse across invocations
-(``$REPRO_ARTIFACT_DIR``).  :mod:`repro.exec.dag` lifts the staged
-pipeline into an explicit artifact-keyed task DAG scheduled over a bounded
-pool.
+(``$REPRO_ARTIFACT_DIR``).
 """
 
 from repro.exec.artifacts import ArtifactStats, ArtifactStore, create_artifact_store
@@ -29,13 +27,6 @@ from repro.exec.backends import (
     known_backend_names,
     resolve_backend,
     shard_rng,
-)
-from repro.exec.dag import (
-    DagNode,
-    DagRunResult,
-    DagScheduler,
-    DagValidationError,
-    TaskDag,
 )
 from repro.exec.persist import (
     ARTIFACT_DIR_ENV_VAR,
@@ -60,10 +51,6 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "DEFAULT_BACKEND_NAME",
-    "DagNode",
-    "DagRunResult",
-    "DagScheduler",
-    "DagValidationError",
     "DiskArtifactStore",
     "DiskStoreStats",
     "FrameProtocolError",
@@ -71,7 +58,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "ProcessBackend",
     "SerialBackend",
-    "TaskDag",
     "ThreadBackend",
     "WorkerHost",
     "WorkerTaskError",

@@ -208,18 +208,36 @@ class TestEntryPoints:
         shipped = worker_shipped_scope(graph)
         assert "pkg.main:make_task.task" in shipped
 
-    def test_dag_node_body_is_a_concurrent_entry(self):
+    def test_thread_pool_task_is_a_concurrent_entry(self):
         graph = graph_of({
             "src/pkg/main.py": (
                 "def body(inputs):\n"
                 "    return inputs\n"
-                "def build(DagNode):\n"
-                "    return DagNode(name='n', stage='s', scene='x', body=body)\n"
+                "def job(item):\n"
+                "    return item\n"
+                "def run(pool, executor, items):\n"
+                "    executor.submit(job, items[0])\n"
+                "    return list(pool.map(body, items))\n"
             ),
         })
-        assert graph.dag_entries == ("pkg.main:body",)
+        assert graph.pool_entries == ("pkg.main:body", "pkg.main:job")
         assert "pkg.main:body" in concurrent_scope(graph)
         assert "pkg.main:body" not in worker_shipped_scope(graph)
+
+    def test_annotated_parameter_resolves_method_calls(self):
+        graph = graph_of({
+            "src/pkg/main.py": (
+                "class Pipeline:\n"
+                "    def run(self, dataset):\n"
+                "        return dataset\n"
+                "def job(pipeline: Pipeline, dataset):\n"
+                "    return pipeline.run(dataset)\n"
+                "def run_all(pool, pipelines, datasets):\n"
+                "    return list(pool.map(job, pipelines, datasets))\n"
+            ),
+        })
+        assert "pkg.main:Pipeline.run" in graph.edges["pkg.main:job"]
+        assert "pkg.main:Pipeline.run" in concurrent_scope(graph)
 
     def test_plain_map_on_non_backend_receiver_is_ignored(self):
         graph = graph_of({
@@ -279,6 +297,14 @@ class TestRealTree:
         # The orchestrator dispatches workers; it never rides along.
         shipped = worker_shipped_scope(graph)
         assert "repro.core.pipeline:NeRFlexPipeline.run" not in shipped
+
+    def test_corpus_pool_runs_the_whole_chain_concurrently(self, graph):
+        # run_corpus maps whole-scene jobs over a thread pool, so every
+        # stage of the chain is in REP-G501's scope.
+        assert "repro.core.pipeline:_run_job" in graph.pool_entries
+        concurrent = concurrent_scope(graph)
+        for stage in ("run", "stage_segment", "stage_select", "bake", "deploy"):
+            assert f"repro.core.pipeline:NeRFlexPipeline.{stage}" in concurrent
 
     def test_profiler_fit_chain_is_concurrent(self, graph):
         # The PR 8 race site: QualityModel.fit runs inside sharded fits.

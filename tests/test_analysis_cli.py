@@ -268,7 +268,7 @@ INTERPROCEDURAL_FIXTURES = {
         "REP-F204",
     ),
     "pre-fix-profiler-race": (
-        # The pre-PR-8 profiler: a DagNode body reaching a fit that probes
+        # The pre-PR-8 profiler: a thread-pool job reaching a fit that probes
         # convergence via simplefilter("error", ...) — the QualityModel race.
         "src/repro/core/bad_profiler.py",
         "import warnings\n"
@@ -278,8 +278,8 @@ INTERPROCEDURAL_FIXTURES = {
         "        return configs\n"
         "def _fit_body(inputs):\n"
         "    return fit(inputs['configs'], inputs['qualities'])\n"
-        "def build(DagNode, scene):\n"
-        "    return DagNode('profile', 'profile', scene, body=_fit_body)\n",
+        "def run(pool, jobs):\n"
+        "    return list(pool.map(_fit_body, jobs))\n",
         "REP-G501",
     ),
     "stale-waiver": (

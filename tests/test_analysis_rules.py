@@ -550,19 +550,21 @@ def render_chunks(backend, chunks, get_kernels, kernel_name):
 
 DAG_PATH = "src/repro/exec/dag.py"
 TRANSPORT_PATH = "src/repro/exec/transport.py"
-#: Where the static stage cost hints live (``STATIC_STAGE_HINTS``).
+#: The pipeline module, home of the corpus scheduler (``run_corpus``).
 COSTS_PATH = "src/repro/core/pipeline.py"
 
 
 class TestDagAndCostModelFixtures:
-    """Golden-scope pins for the stage-DAG executor, the frame codec and
-    the stage cost hints.
+    """Golden-scope pins for exec-package schedulers, the frame codec and
+    the pipeline module.
 
-    The DAG carries a determinism contract (stable topological order), the
-    codec carries every golden map's payload bytes, and the static stage
-    hints decide the DAG's dispatch order, so all three sit in the
-    project-invariant golden scope; the DAG and the cost path also get
-    known-bad/known-good fixtures."""
+    Any scheduler module under ``repro/exec`` (``DAG_PATH`` is a synthetic
+    path there), the codec, which carries every golden map's payload bytes,
+    and the pipeline, whose corpus runs are pinned bit-identical to the
+    sequential loop, all sit in the project-invariant golden scope.  The
+    fixtures are synthetic sources: known-bad scheduler and cost shapes
+    (wall-clock deadlines, set-ordered dispatch, salted hashes, unseeded
+    noise) are flagged and the known-good shapes are clean."""
 
     @pytest.mark.parametrize("path", [DAG_PATH, TRANSPORT_PATH, COSTS_PATH])
     def test_modules_are_golden_scope(self, path):
@@ -823,7 +825,7 @@ class TestReachableLock:
 
 
 class TestConcurrentGlobalState:
-    #: The pre-fix PR 8 profiler, reconstructed: a DagNode body reaching a
+    #: The pre-fix PR 8 profiler, reconstructed: a thread-pool job reaching a
     #: fit that probes convergence by flipping the warning filters to
     #: "error" inside catch_warnings — two concurrent fits corrupt each
     #: other's filter stacks.
@@ -839,8 +841,8 @@ class TestConcurrentGlobalState:
             "    return configs\n"
             "def _fit_body(inputs):\n"
             "    return fit(inputs['configs'], inputs['qualities'])\n"
-            "def build(DagNode, scene):\n"
-            "    return DagNode('profile', 'profile', scene, body=_fit_body)\n"
+            "def run(pool, jobs):\n"
+            "    return list(pool.map(_fit_body, jobs))\n"
         ),
     }
 
@@ -864,14 +866,16 @@ class TestConcurrentGlobalState:
         assert lint_project(fixed) == []
 
     def test_seterr_in_dag_body_is_flagged(self):
+        # A callable submitted to a thread pool runs concurrently (the
+        # shape of run_corpus's whole-scene jobs).
         sources = {
             "src/repro/core/fixture.py": (
                 "import numpy as np\n"
                 "def body(inputs):\n"
                 "    np.seterr(all='raise')\n"
                 "    return inputs\n"
-                "def build(DagNode, scene):\n"
-                "    return DagNode('n', 's', scene, body=body)\n"
+                "def run(executor, inputs):\n"
+                "    return executor.submit(body, inputs)\n"
             ),
         }
         findings = lint_project(sources)
@@ -911,8 +915,8 @@ class TestConcurrentGlobalState:
                 "    # repro-analysis: allow=REP-G501 single-threaded test harness\n"
                 "    np.seterr(all='raise')\n"
                 "    return inputs\n"
-                "def build(DagNode, scene):\n"
-                "    return DagNode('n', 's', scene, body=body)\n"
+                "def run(executor, inputs):\n"
+                "    return executor.submit(body, inputs)\n"
             ),
         }
         assert lint_project(sources) == []
@@ -939,8 +943,8 @@ class TestStaleWaiver:
                 "    # repro-analysis: allow=REP-G501 deliberate, tested\n"
                 "    np.seterr(all='raise')\n"
                 "    return inputs\n"
-                "def build(DagNode, scene):\n"
-                "    return DagNode('n', 's', scene, body=body)\n"
+                "def run(executor, inputs):\n"
+                "    return executor.submit(body, inputs)\n"
             ),
         }
         assert lint_project(sources) == []

@@ -1,10 +1,10 @@
-"""Tests for the stage-DAG executor (:mod:`repro.exec.dag`).
+"""Tests for the corpus scheduler's pool (:func:`repro.core.pipeline.run_corpus`).
 
-Pins the node/edge contract (unique names, unique producers, satisfied
-inputs, cycle detection), the deterministic heaviest-first topological
-order, the output contract of node bodies, bit-identical artifacts between
-the sequential reference and the threaded scheduler for any worker count,
-genuine overlap of independent nodes, and error propagation.
+Pins, on stand-in pipelines whose stages do no rendering: identical
+results in job order for every worker count against the sequential
+reference, genuine overlap of independent jobs, and error propagation
+from a job to the caller.  The golden corpus-parity tier
+(``tests/test_pipeline_dag.py``) runs the real pipeline.
 """
 
 from __future__ import annotations
@@ -13,206 +13,64 @@ import time
 
 import pytest
 
-from repro.exec import (
-    DagNode,
-    DagScheduler,
-    DagValidationError,
-    TaskDag,
+from repro.core.pipeline import NeRFlexPipeline, PipelineConfig, run_corpus
+from repro.device.models import DeviceProfile
+
+STUB_DEVICE = DeviceProfile(
+    name="StubPhone", memory_budget_mb=100.0, hard_memory_limit_mb=100.0
 )
 
 
-def _node(name, inputs=(), outputs=(), cost=1.0, body=None, stage="stage", scene="s"):
-    if body is None:
-        def body(values):  # default: join the inputs into each output
-            joined = "+".join(str(values[key]) for key in sorted(values)) or name
-            return {artifact: f"{name}({joined})" for artifact in outputs}
-    return DagNode(
-        name=name,
-        stage=stage,
-        scene=scene,
-        body=body,
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        cost=cost,
-    )
+class StubPipeline(NeRFlexPipeline):
+    """A real ``run()`` over stand-in stages: ``prepare`` sleeps for
+    ``nap`` seconds, ``bake`` and ``deploy`` wrap their input, and a
+    dataset named ``"bad"`` fails in ``deploy``."""
+
+    def __init__(self, nap: float = 0.0) -> None:
+        super().__init__(STUB_DEVICE, PipelineConfig(backend="serial"))
+        self.nap = nap
+
+    def prepare(self, dataset):
+        time.sleep(self.nap)
+        return f"prepared({dataset})"
+
+    def bake(self, preparation):
+        return f"baked({preparation})"
+
+    def deploy(self, multi_model, dataset, preparation=None, method="NeRFlex"):
+        if dataset == "bad":
+            raise RuntimeError("job failed")
+        return f"report({multi_model})"
 
 
-def _chain(scene, length=3):
-    """A linear chain of nodes: seed ``{scene}/a0`` -> ... -> ``{scene}/a<n>``."""
-    nodes = []
-    for step in range(length):
-        nodes.append(
-            _node(
-                f"{scene}-{step}",
-                inputs=(f"{scene}/a{step}",),
-                outputs=(f"{scene}/a{step + 1}",),
-                scene=scene,
-            )
-        )
-    return nodes
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-class TestValidation:
-    def test_duplicate_node_name_raises(self):
-        dag = TaskDag([_node("n", outputs=("x",))])
-        with pytest.raises(DagValidationError, match="duplicate node name"):
-            dag.add(_node("n", outputs=("y",)))
-
-    def test_duplicate_producer_raises(self):
-        dag = TaskDag([_node("a", outputs=("x",))])
-        with pytest.raises(DagValidationError, match="exactly one producer"):
-            dag.add(_node("b", outputs=("x",)))
-
-    def test_unsatisfied_input_raises(self):
-        dag = TaskDag([_node("a", inputs=("missing",), outputs=("x",))])
-        with pytest.raises(DagValidationError, match="did not seed"):
-            dag.topological_order()
-
-    def test_seed_artifact_satisfies_input(self):
-        dag = TaskDag([_node("a", inputs=("seeded",), outputs=("x",))])
-        assert [n.name for n in dag.topological_order(("seeded",))] == ["a"]
-
-    def test_cycle_raises_naming_blocked_nodes(self):
-        dag = TaskDag(
-            [
-                _node("a", inputs=("y",), outputs=("x",)),
-                _node("b", inputs=("x",), outputs=("y",)),
-            ]
-        )
-        with pytest.raises(DagValidationError, match="cycle") as excinfo:
-            dag.topological_order()
-        assert "a" in str(excinfo.value) and "b" in str(excinfo.value)
-
-
-# ---------------------------------------------------------------------------
-# Scheduling order
-# ---------------------------------------------------------------------------
-
-
-class TestTopologicalOrder:
-    def test_respects_dependencies(self):
-        dag = TaskDag(_chain("s", length=4))
-        order = [n.name for n in dag.topological_order(("s/a0",))]
-        assert order == ["s-0", "s-1", "s-2", "s-3"]
-
-    def test_ready_nodes_dispatch_heaviest_first(self):
-        dag = TaskDag(
-            [
-                _node("light", outputs=("l",), cost=1.0),
-                _node("heavy", outputs=("h",), cost=9.0),
-                _node("middle", outputs=("m",), cost=5.0),
-            ]
-        )
-        assert [n.name for n in dag.topological_order()] == [
-            "heavy",
-            "middle",
-            "light",
-        ]
-
-    def test_equal_costs_tie_break_by_name(self):
-        dag = TaskDag(
-            [_node(name, outputs=(name + "!",)) for name in ("c", "a", "b")]
-        )
-        assert [n.name for n in dag.topological_order()] == ["a", "b", "c"]
-
-    def test_order_is_deterministic(self):
-        nodes = _chain("x") + _chain("y") + _chain("z")
-        first = [n.name for n in TaskDag(nodes).topological_order(
-            ("x/a0", "y/a0", "z/a0")
-        )]
-        second = [n.name for n in TaskDag(nodes).topological_order(
-            ("x/a0", "y/a0", "z/a0")
-        )]
-        assert first == second
-
-
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
+def stub_jobs(datasets, nap: float = 0.0) -> list:
+    return [(StubPipeline(nap), dataset) for dataset in datasets]
 
 
 class TestExecution:
-    def test_single_output_body_may_return_bare_value(self):
-        dag = TaskDag(
-            [_node("n", inputs=("in",), outputs=("out",), body=lambda v: v["in"] + 1)]
-        )
-        result = DagScheduler(workers=1).run(dag, artifacts={"in": 41})
-        assert result.artifacts["out"] == 42
-
-    def test_multi_output_body_must_return_exact_mapping(self):
-        dag = TaskDag(
-            [
-                _node(
-                    "n",
-                    outputs=("a", "b"),
-                    body=lambda v: {"a": 1},  # missing "b"
-                )
-            ]
-        )
-        with pytest.raises(DagValidationError, match="declared outputs"):
-            DagScheduler(workers=1).run(dag)
-
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_artifacts_identical_for_any_worker_count(self, workers):
-        nodes = _chain("x", 4) + _chain("y", 4) + [
-            _node("join", inputs=("x/a4", "y/a4"), outputs=("joined",))
-        ]
-        seeds = {"x/a0": "X", "y/a0": "Y"}
-        reference = DagScheduler(workers=1).run(TaskDag(nodes), artifacts=seeds)
-        result = DagScheduler(workers=workers).run(TaskDag(nodes), artifacts=seeds)
-        assert result.artifacts == reference.artifacts
-        assert set(result.node_seconds) == set(reference.node_seconds)
-        assert sorted(result.completed_order) == sorted(reference.completed_order)
-
-    def test_completion_order_respects_chain(self):
-        dag = TaskDag(_chain("s", 3))
-        result = DagScheduler(workers=4).run(dag, artifacts={"s/a0": 0})
-        assert result.completed_order == ["s-0", "s-1", "s-2"]
+        datasets = ["x", "y", "z", "w"]
+        reference = run_corpus(stub_jobs(datasets), workers=0)
+        assert reference[0] == (
+            "prepared(x)", "baked(prepared(x))", "report(baked(prepared(x)))",
+        )
+        assert run_corpus(stub_jobs(datasets), workers=workers) == reference
 
     def test_independent_nodes_overlap(self):
-        """Six independent 0.3s sleeps on 3 workers finish well under the
-        1.8s serial time.  Sleeps do not compete for a CPU, so this pins
-        the scheduler's concurrency even on a one-core host."""
-        nodes = [
-            _node(
-                f"sleep-{i}",
-                outputs=(f"out{i}",),
-                body=lambda v, i=i: (time.sleep(0.3), i)[1],
-            )
-            for i in range(6)
-        ]
+        """Six independent 0.3s sleeping jobs on 3 workers finish well
+        under the 1.8s serial time.  Sleeps do not compete for a CPU, so
+        this pins the pool's concurrency even on a one-core host."""
+        datasets = [f"scene{index}" for index in range(6)]
         start = time.perf_counter()
-        result = DagScheduler(workers=3).run(TaskDag(nodes))
+        runs = run_corpus(stub_jobs(datasets, nap=0.3), workers=3)
         elapsed = time.perf_counter() - start
-        assert result.artifacts == {f"out{i}": i for i in range(6)}
+        assert [preparation for preparation, _, _ in runs] == [
+            f"prepared({dataset})" for dataset in datasets
+        ]
         assert elapsed < 1.4  # serial would be ~1.8s
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_body_error_propagates(self, workers):
-        def boom(values):
-            raise RuntimeError("node body failed")
-
-        dag = TaskDag(
-            [
-                _node("ok", outputs=("x",)),
-                _node("bad", inputs=("x",), outputs=("y",), body=boom),
-            ]
-        )
-        with pytest.raises(RuntimeError, match="node body failed"):
-            DagScheduler(workers=workers).run(dag)
-
-    def test_seed_artifacts_survive_into_result(self):
-        dag = TaskDag([_node("n", inputs=("seed",), outputs=("out",))])
-        result = DagScheduler(workers=2).run(dag, artifacts={"seed": "kept"})
-        assert result.artifacts["seed"] == "kept"
-
-    def test_node_seconds_recorded_per_node(self):
-        dag = TaskDag(_chain("s", 2))
-        result = DagScheduler(workers=1).run(dag, artifacts={"s/a0": 0})
-        assert set(result.node_seconds) == {"s-0", "s-1"}
-        assert all(seconds >= 0.0 for seconds in result.node_seconds.values())
+        with pytest.raises(RuntimeError, match="job failed"):
+            run_corpus(stub_jobs(["ok", "bad", "ok"]), workers=workers)

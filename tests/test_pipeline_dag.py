@@ -1,11 +1,10 @@
-"""Golden DAG-parity tier: the stage-DAG pipeline vs the sequential path.
+"""Golden corpus-parity tier: the thread-pool corpus run vs the sequential path.
 
-Pins the tentpole's bit-identity contract: a corpus of independent scenes
-run through :func:`repro.core.pipeline.run_corpus` under the DAG scheduler
-with 1, 2 and 5 workers produces report JSON (profile state included)
-bit-identical to the sequential ``run()`` loop; a single scene routed
-through ``dag_workers`` matches the staged path; node costs are the
-static stage hints scaled by object count; and report stage splits are
+Pins the bit-identity contract: a corpus of independent scenes run
+through :func:`repro.core.pipeline.run_corpus` on a pool of 1, 2 and 5
+workers produces report JSON (profile state included) bit-identical to
+the sequential ``run()`` loop; concurrent jobs may share neither a
+pipeline nor a render engine; and report stage splits are
 mutation-isolated snapshots.
 """
 
@@ -14,12 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    STATIC_STAGE_HINTS,
-    NeRFlexPipeline,
-    run_corpus,
-)
-from repro.exec import DagValidationError
+from repro.core.pipeline import NeRFlexPipeline, run_corpus
+from repro.render.engine import RenderEngine
 from repro.scenes.dataset import generate_dataset
 from repro.scenes.objects import make_cube, make_sphere
 from repro.scenes.scene import PlacedObject, Scene
@@ -34,8 +29,8 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::scipy.optimize.OptimizeWarning"
 )
 
-#: The corpus: three tiny scenes with differing object counts, so stage
-#: costs differ per scene and the scheduler has real choices to make.
+#: The corpus: three tiny scenes with differing object counts, so the
+#: scenes' run times differ and pool jobs finish out of job order.
 CORPUS_SPECS = {
     "corpus-pair": [(make_sphere, 2.0, -0.55), (make_cube, 8.0, 0.55)],
     "corpus-solo": [(make_sphere, 4.0, 0.0)],
@@ -64,7 +59,7 @@ def corpus_dataset(name):
 
 def corpus_jobs():
     """Fresh ``(pipeline, dataset)`` jobs — one pipeline per scene, serial
-    inner backends (thread-level overlap comes from the DAG alone)."""
+    inner backends (thread-level overlap comes from the corpus pool alone)."""
     return [
         (NeRFlexPipeline(GOLDEN_DEVICE, config=golden_config()), corpus_dataset(name))
         for name in sorted(CORPUS_SPECS)
@@ -104,16 +99,9 @@ class TestCorpusDagParity:
             ]
             assert report.worker_seconds.get("render:profiler", 0.0) > 0.0
 
-    def test_duplicate_scene_name_raises(self):
-        (pipeline_a, dataset), (pipeline_b, _) = corpus_jobs()[:2]
-        with pytest.raises(DagValidationError, match="duplicate scene"):
-            run_corpus(
-                [(pipeline_a, dataset), (pipeline_b, dataset)], workers=2
-            )
-
     def test_shared_pipeline_instance_raises(self):
         pipeline = NeRFlexPipeline(GOLDEN_DEVICE, config=golden_config())
-        with pytest.raises(DagValidationError, match="own"):
+        with pytest.raises(ValueError, match="own"):
             run_corpus(
                 [
                     (pipeline, corpus_dataset("corpus-pair")),
@@ -123,57 +111,21 @@ class TestCorpusDagParity:
             )
 
 
-class TestSingleSceneDag:
-    def test_dag_workers_config_matches_sequential(self):
-        sequential = NeRFlexPipeline(GOLDEN_DEVICE, config=golden_config()).run(
-            corpus_dataset("corpus-pair")
-        )
-        config = golden_config()
-        config.dag_workers = 2
-        dag = NeRFlexPipeline(GOLDEN_DEVICE, config=config).run(
-            corpus_dataset("corpus-pair")
-        )
-        assert report_record(dag) == report_record(sequential)
-        assert sorted(dag[2].stage_seconds) == sorted(sequential[2].stage_seconds)
-
-    def test_dag_workers_env_routing(self, monkeypatch):
-        pipeline = NeRFlexPipeline(GOLDEN_DEVICE, config=golden_config())
-        monkeypatch.delenv("REPRO_DAG_WORKERS", raising=False)
-        assert pipeline._dag_workers() == 0  # default: sequential path
-        monkeypatch.setenv("REPRO_DAG_WORKERS", "3")
-        assert pipeline._dag_workers() == 3
-        config = golden_config()
-        config.dag_workers = 1  # explicit config wins over the environment
-        explicit = NeRFlexPipeline(GOLDEN_DEVICE, config=config)
-        assert explicit._dag_workers() == 1
-
-    def test_build_dag_has_one_node_per_stage(self):
-        pipeline = NeRFlexPipeline(GOLDEN_DEVICE, config=golden_config())
-        dag = pipeline.build_dag(corpus_dataset("corpus-solo"))
-        names = sorted(node.name for node in dag.nodes)
-        assert names == [
-            "bake:corpus-solo",
-            "deploy:corpus-solo",
-            "profile:corpus-solo",
-            "segment:corpus-solo",
-            "select:corpus-solo",
-        ]
-        order = dag.topological_order(("corpus-solo/dataset",))
-        assert [node.stage for node in order] == [
-            "segmentation",
-            "profiler",
-            "solver",
-            "bake",
-            "deploy",
-        ]
-        assert all(node.cost > 0.0 for node in dag.nodes)
-
-    def test_node_costs_are_static_hints_scaled_by_objects(self):
-        pipeline = NeRFlexPipeline(GOLDEN_DEVICE, config=golden_config())
-        dag = pipeline.build_dag(corpus_dataset("corpus-trio"))
-        assert {node.stage: node.cost for node in dag.nodes} == {
-            stage: hint * 3.0 for stage, hint in STATIC_STAGE_HINTS.items()
-        }
+    def test_shared_engine_raises(self):
+        # Engine attribution is instance state: two concurrent scenes on
+        # one engine would credit each other's render:<stage> seconds.
+        engine = RenderEngine(backend="serial")
+        with pytest.raises(ValueError, match="render engine"):
+            run_corpus(
+                [
+                    (
+                        NeRFlexPipeline(GOLDEN_DEVICE, golden_config(), engine=engine),
+                        corpus_dataset(name),
+                    )
+                    for name in ("corpus-pair", "corpus-solo")
+                ],
+                workers=2,
+            )
 
 
 class TestReportFixes:
