@@ -35,7 +35,9 @@ def test_fig4_method_comparison(harness, benchmark):
     from repro.device.models import IPHONE_13
 
     model = harness.nerflex(SCENE, DEVICE)[1]
-    benchmark(lambda: MemoryModel(IPHONE_13).try_load(model.size_mb()))
+    benchmark.pedantic(
+        lambda: MemoryModel(IPHONE_13).try_load(model.size_mb()), rounds=5, iterations=1
+    )
 
     rows = [
         ["MobileNeRF (single)", round(detail["single"]["ssim"], 4), round(single.size_mb, 1), "yes" if single.loaded else "no"],

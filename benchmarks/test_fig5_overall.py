@@ -74,4 +74,6 @@ def test_fig5_quality_and_size(harness, benchmark):
     # framework adds on top of baking) on the last prepared scene.
     preparation, _, _ = harness.nerflex(f"scene{SCENE_INDICES[-1]}", "iPhone 13")
     selector = NeRFlexDPSelector()
-    benchmark(lambda: selector.select(preparation.profiles, 240.0))
+    benchmark.pedantic(
+        lambda: selector.select(preparation.profiles, 240.0), rounds=5, iterations=1
+    )

@@ -63,4 +63,8 @@ def test_fig6_fps_traces(harness, benchmark):
 
     # Benchmark the FPS simulation itself.
     simulator = RenderSimulator(device=IPHONE_13, seed=0)
-    benchmark(lambda: simulator.simulate(nerflex_iphone.size_mb, num_submodels=5, num_frames=NUM_FRAMES))
+    benchmark.pedantic(
+        lambda: simulator.simulate(nerflex_iphone.size_mb, num_submodels=5, num_frames=NUM_FRAMES),
+        rounds=5,
+        iterations=1,
+    )

@@ -58,4 +58,6 @@ def test_fig7_selector_comparison(harness, benchmark):
     preparation, _, _ = harness.nerflex(f"scene{SCENE_INDICES[-1]}", "Pixel 4")
     from repro.core.selector_baselines import SLSQPSelector
 
-    benchmark(lambda: SLSQPSelector().select(preparation.profiles, 150.0))
+    benchmark.pedantic(
+        lambda: SLSQPSelector().select(preparation.profiles, 150.0), rounds=5, iterations=1
+    )

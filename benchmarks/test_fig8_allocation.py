@@ -52,7 +52,11 @@ def test_fig8a_per_object_quality(harness, benchmark):
         # Overall the DP is at least as good as Fairness.
         assert np.mean(list(ours.values())) >= np.mean(list(fairness.values())) - 0.003
 
-    benchmark(lambda: harness.mean_object_quality(reports[("iPhone 13", "Ours (DP)")]))
+    benchmark.pedantic(
+        lambda: harness.mean_object_quality(reports[("iPhone 13", "Ours (DP)")]),
+        rounds=5,
+        iterations=1,
+    )
 
 
 def test_fig8b_resource_allocation(harness, benchmark):
@@ -84,4 +88,4 @@ def test_fig8b_resource_allocation(harness, benchmark):
     for sizes in allocations.values():
         assert sum(sizes.values()) <= 240.0 + 1e-6
 
-    benchmark(lambda: sum(ours.values()))
+    benchmark.pedantic(lambda: sum(ours.values()), rounds=5, iterations=1)

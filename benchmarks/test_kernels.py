@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.baking.voxelize import VoxelGrid
 from repro.render.kernels import KERNELS, NUMBA_AVAILABLE, get_kernels, warm_up
 
 #: Backends benchmarked in this environment (see module docstring for why
@@ -96,8 +97,8 @@ def march_workload():
         "args": (
             origins, directions, t_near, t_far,
             np.zeros(3), voxel, voxel * 0.5, g,
-            occupancy, face_key[order], order,
-            voxel_key[order].astype(np.int64), 32,
+            VoxelGrid(np.zeros(3), voxel, g, occupancy).skip_distance,
+            face_key[order], order, voxel_key[order].astype(np.int64),
         ),
     }
 

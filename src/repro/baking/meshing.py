@@ -10,6 +10,7 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,28 @@ class QuadFaceSet:
     @property
     def num_faces(self) -> int:
         return int(len(self.axes))
+
+    @cached_property
+    def lookup_keys(self) -> tuple:
+        """Sorted integer keys for ``(voxel, axis, sign)`` face lookup.
+
+        Returns ``(face_keys, order, voxel_keys)``: the face keys
+        ``voxel_key * 6 + axis * 2 + (sign > 0)`` in ascending order, the
+        face index behind each, and each face's voxel key ``(ix * g + iy) *
+        g + iz`` in the same order.  The occupancy marcher binary-searches
+        them.  Built on first use and cached, read-only; all int64, the
+        dtype the compiled marching kernels are specialised on.
+        """
+        g = self.grid.resolution
+        idx = self.voxel_indices.astype(np.int64, copy=False)
+        voxel_key = (idx[:, 0] * g + idx[:, 1]) * g + idx[:, 2]
+        face_key = voxel_key * 6 + self.axes * 2 + (self.signs > 0)
+        face_key = face_key.astype(np.int64, copy=False)
+        order = np.argsort(face_key, kind="stable").astype(np.int64, copy=False)
+        tables = (face_key[order], order, voxel_key[order])
+        for table in tables:  # shared by every render of the model
+            table.flags.writeable = False
+        return tables
 
     @property
     def face_size(self) -> float:

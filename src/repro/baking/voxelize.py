@@ -9,8 +9,10 @@ with non-positive distance as occupied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.ndimage import distance_transform_cdt
 
 
 @dataclass
@@ -49,6 +51,28 @@ class VoxelGrid:
     @property
     def num_occupied(self) -> int:
         return int(self.occupancy.sum())
+
+    @cached_property
+    def skip_distance(self) -> np.ndarray:
+        """Chessboard (L-inf) distance, in cells, to the nearest occupied cell.
+
+        ``0`` exactly at occupied cells; a cell at distance ``d`` has only
+        empty cells within ``d - 1`` cells along every axis.  The occupancy
+        marcher jumps over empty space with it.  An all-empty grid gets
+        ``resolution`` everywhere: every cell of the grid is within
+        ``resolution - 1`` of any other, so each ray misses in one jump.
+        Built on first use and cached, read-only, in the narrowest unsigned
+        dtype that holds ``resolution``.  The occupancy must not be mutated
+        in place after the first access.
+        """
+        dtype = np.min_scalar_type(self.resolution)
+        if self.occupancy.any():
+            distance = distance_transform_cdt(~self.occupancy, metric="chessboard")
+            distance = distance.astype(dtype)
+        else:
+            distance = np.full(self.occupancy.shape, self.resolution, dtype=dtype)
+        distance.flags.writeable = False  # shared by every render of the grid
+        return distance
 
     def cell_centers(self, indices: np.ndarray) -> np.ndarray:
         """World-space centres of the voxels at the given ``(N, 3)`` indices."""

@@ -219,21 +219,6 @@ def _sphere_trace_chunk(
     return t_values, hit
 
 
-def _face_keys(model) -> tuple:
-    """Sorted integer keys for (voxel, axis, sign) face lookup.
-
-    Arrays come back as int64 — the dtype the compiled marching kernels
-    are specialised on (platform-default ints would recompile per dtype).
-    """
-    g = model.grid.resolution
-    idx = model.faces.voxel_indices.astype(np.int64, copy=False)
-    voxel_key = (idx[:, 0] * g + idx[:, 1]) * g + idx[:, 2]
-    face_key = voxel_key * 6 + model.faces.axes * 2 + (model.faces.signs > 0)
-    face_key = face_key.astype(np.int64, copy=False)
-    order = np.argsort(face_key, kind="stable").astype(np.int64, copy=False)
-    return face_key[order], order, voxel_key[order]
-
-
 class RenderEngine:
     """Batched, cached renderer for every representation in the library.
 
@@ -723,25 +708,24 @@ class RenderEngine:
         voxel = float(grid.voxel_size)
         step = voxel * step_scale
 
-        face_keys_sorted, face_order, voxel_keys_sorted = _face_keys(model)
+        face_keys_sorted, face_order, voxel_keys_sorted = model.faces.lookup_keys
         g = int(grid.resolution)
         grid_lo = np.ascontiguousarray(np.asarray(lo, dtype=np.float64))
-        occupancy = np.ascontiguousarray(grid.occupancy)
+        skip_distance = grid.skip_distance
 
         t_near, t_far = _ray_aabb(origins, directions, lo, hi)
         t_near = np.maximum(t_near, 0.0)
         candidates = np.flatnonzero(t_far > t_near)
 
-        slab_steps = 32  # samples examined per vectorised marching round
         kernel_name = self.kernel
 
         def process(start):
             # Pure chunk function (see volume path): returns the chunk's hit
             # rows instead of writing shared buffers, so it can execute on
-            # any backend.  The march itself — slab march, voxel entry, face
-            # lookup — is a kernel (exact parity tier: every backend returns
-            # bit-identical hits); texture sampling stays here with the
-            # model object.
+            # any backend.  The march itself — skipping march, voxel entry,
+            # face lookup — is a kernel (exact parity tier: every backend
+            # returns bit-identical hits); texture sampling stays here with
+            # the model object.
             kernels = get_kernels(kernel_name)
             ray_ids = candidates[start : start + self.chunk_rays]
             hit_rows, face_indices, u, v, t_entry = kernels.march_occupancy(
@@ -753,11 +737,10 @@ class RenderEngine:
                 voxel,
                 step,
                 g,
-                occupancy,
+                skip_distance,
                 face_keys_sorted,
                 face_order,
                 voxel_keys_sorted,
-                slab_steps,
             )
             if hit_rows.size == 0:
                 return None
@@ -817,7 +800,7 @@ class RenderEngine:
         multi = _as_multi_model(multi)
         quality_key = (
             "baked",
-            baked_fingerprint(multi),
+            baked_fingerprint(multi) if scene_key is not None else None,
             tuple(np.asarray(background, dtype=np.float64).tolist()),
             step_scale,
         )

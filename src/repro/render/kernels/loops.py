@@ -23,11 +23,10 @@ Determinism notes, load-bearing for the parity tiers:
 * NaN propagation mirrors ``np.minimum`` / ``np.maximum`` semantics
   wherever the reference could see a NaN (axis-parallel slab tests).
 
-The per-ray march visits exactly the sample ladder
-``t = t_near + (k + 0.5) * step`` for ``t <= t_far`` that the slab-wise
-reference evaluates, so the first occupied voxel — and everything derived
-from it — is identical; the loop merely stops at the hit instead of
-masking the samples behind it.
+The per-ray march walks the sample ladder ``t = t_near + (k + 0.5) *
+step`` for ``t <= t_far`` and jumps over the samples the skip table proves
+empty, exactly as the vectorised reference does, so the first occupied
+voxel — and everything derived from it — is identical.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.render.kernels.numpy_ref import SKIP_EPSILON
 
 #: The kernel entry points every backend must provide, in one canonical
 #: place (the registry builds KernelSets from this tuple and the numba
@@ -57,17 +58,12 @@ def march_occupancy(
     voxel,
     step,
     resolution,
-    occupancy,
+    skip_distance,
     face_keys,
     face_order,
     voxel_keys,
-    slab_steps,
 ):
-    """Per-ray DDA-style first-hit march (see numpy_ref for the contract).
-
-    ``slab_steps`` is accepted for signature parity and ignored — a scalar
-    loop needs no slab batching to terminate early.
-    """
+    """Per-ray first-hit march with empty-space skipping (see numpy_ref)."""
     num_rays = origins.shape[0]
     g = resolution
     num_faces = face_keys.shape[0]
@@ -93,18 +89,35 @@ def march_occupancy(
         d1 = directions[i, 1]
         d2 = directions[i, 2]
 
+        # Upper bound on the ladder index: every sample from here on lies
+        # beyond ``far``.  Jumps are capped at it, which keeps them finite.
+        k_limit = int((far - near) / step) + 2
+        # Ladder samples skippable per voxel of reach (numpy_ref's
+        # ``per_voxel``), without dividing by a vanishing component.
+        max_component = abs(d0)
+        if abs(d1) > max_component:
+            max_component = abs(d1)
+        if abs(d2) > max_component:
+            max_component = abs(d2)
+        denominator = step * max_component
+        if denominator * k_limit > voxel:
+            per_voxel = voxel / denominator
+        elif max_component > 0.0:
+            per_voxel = float(k_limit)
+        else:
+            per_voxel = 0.0
+
         # -- first-hit march along the shared sample ladder ---------------
         v0 = -1
         v1 = -1
         v2 = -1
         found = False
-        # Upper bound on the ladder index (the break below is the real
-        # termination condition; the bound only keeps the loop finite).
-        k_max = int((far - near) / step) + 2
-        for k in range(k_max):
+        k = 0
+        while k < k_limit:
             t = near + (k + 0.5) * step
             if t > far:
                 break
+            k += 1
             p0 = o0 + t * d0
             p1 = o1 + t * d1
             p2 = o2 + t * d2
@@ -117,12 +130,18 @@ def march_occupancy(
             i2 = int(math.floor((p2 - lo2) / voxel))
             if i2 < 0 or i2 >= g:
                 continue
-            if occupancy[i0, i1, i2]:
+            distance = skip_distance[i0, i1, i2]
+            if distance == 0:
                 v0 = i0
                 v1 = i1
                 v2 = i2
                 found = True
                 break
+            # Empty cell at chessboard distance d: the next
+            # floor((d - 1 - eps) * per_voxel) samples stay in empty cells.
+            reach = float(distance) - 1.0 - SKIP_EPSILON
+            if reach > 0.0:
+                k += int(math.floor(reach * per_voxel))
         if not found:
             continue
 

@@ -34,6 +34,13 @@ TANGENT_U = np.array([_TANGENT_AXES[axis][0] for axis in range(3)], dtype=np.int
 TANGENT_V = np.array([_TANGENT_AXES[axis][1] for axis in range(3)], dtype=np.int64)
 
 
+#: Skip-table margin, in voxels: a jump from a cell at chessboard distance
+#: ``d`` covers at most ``d - 1 - SKIP_EPSILON`` voxels per axis, so the
+#: rounding in ``floor((p - lo) / voxel)`` (about 1e-13 voxel for scene
+#: coordinates) can never carry a skipped sample into an occupied cell.
+SKIP_EPSILON = 0.01
+
+
 def march_occupancy(
     origins: np.ndarray,
     directions: np.ndarray,
@@ -43,20 +50,28 @@ def march_occupancy(
     voxel: float,
     step: float,
     resolution: int,
-    occupancy: np.ndarray,
+    skip_distance: np.ndarray,
     face_keys: np.ndarray,
     face_order: np.ndarray,
     voxel_keys: np.ndarray,
-    slab_steps: int,
 ) -> tuple:
     """First-hit occupancy-grid march of one chunk of candidate rays.
 
-    Marches the sample ladder ``t = t_near + (k + 0.5) * step`` per ray,
-    finds the first occupied voxel, computes the exact entry point into its
-    AABB and resolves the ``(voxel, axis, sign)`` face key against the
-    sorted face tables (interior entries fall back to any face of the
-    voxel).  Texture sampling stays with the caller — the kernel returns
-    in-face coordinates, not colours.
+    Finds, per ray, the first sample of the ladder ``t = t_near + (k +
+    0.5) * step`` (``t <= t_far``) that lands in an occupied voxel (skip
+    distance ``0``), computes the exact entry point into its AABB and
+    resolves the ``(voxel, axis, sign)`` face key against the sorted face
+    tables (interior entries fall back to any face of the voxel).  Texture
+    sampling stays with the caller — the kernel returns in-face
+    coordinates, not colours.
+
+    Empty space is skipped with the chessboard distance table: from an
+    empty sample whose cell is ``d`` cells from the nearest occupied one,
+    the next ``floor((d - 1 - SKIP_EPSILON) * voxel / (step * max|dir|))``
+    ladder samples provably land in empty or out-of-grid cells, so the
+    ray jumps over them.  The first occupied sample is the one the full
+    ladder finds, so every output is bit-identical to evaluating every
+    sample.
 
     Args:
         origins / directions: ``(N, 3)`` float64 candidate rays.
@@ -66,11 +81,12 @@ def march_occupancy(
         voxel: voxel edge length; ``step``: marching step (``voxel *
             step_scale``).
         resolution: grid resolution ``g``.
-        occupancy: ``(g, g, g)`` boolean occupancy.
+        skip_distance: ``(g, g, g)`` unsigned chessboard distance of each
+            cell to the nearest occupied cell, ``0`` exactly at occupied
+            cells: :attr:`repro.baking.voxelize.VoxelGrid.skip_distance`.
+            It is the grid's occupancy and its skip table in one array.
         face_keys / face_order / voxel_keys: the sorted face-lookup tables
-            built by the engine's ``_face_keys``.
-        slab_steps: samples examined per vectorised marching round (loop
-            backends ignore it; the sample ladder is identical either way).
+            of :attr:`repro.baking.meshing.QuadFaceSet.lookup_keys`.
 
     Returns:
         ``(hit_rows, face_indices, u, v, t_entry)`` — ascending chunk-local
@@ -83,49 +99,75 @@ def march_occupancy(
     span = float(np.max(t_far - t_near)) if num_rays else 0.0
     num_steps = max(int(np.ceil(span / step)) + 1, 1)
 
-    # Slab-wise march with early-termination compaction: rays stop
-    # participating as soon as their first occupied voxel is found.  The
-    # sample ladder is identical to evaluating all ``num_steps`` samples at
-    # once, so the result is bit-identical to a full-span evaluation — it
-    # just skips the samples behind a hit.
-    hit_rows_parts = []
-    hit_voxels_parts = []
-    active = np.arange(num_rays)
-    for slab_start in range(0, num_steps, slab_steps):
-        if active.size == 0:
-            break
-        ks = np.arange(slab_start, min(slab_start + slab_steps, num_steps))
-        t_samples = t_near[active, None] + (ks[None, :] + 0.5) * step
-        valid = t_samples <= t_far[active, None]
-        points = (
-            origins[active, None, :]
-            + t_samples[..., None] * directions[active, None, :]
+    # The skip table padded by one out-of-grid cell per side, flattened:
+    # clipping a sample's cell index into the padded range replaces the
+    # inside-the-grid test.  Border cells read distance 1: empty, with no
+    # claim about their neighbours (a zero-length jump).
+    padded_g = g + 2
+    table = np.ones((padded_g,) * 3, dtype=skip_distance.dtype)
+    table[1:-1, 1:-1, 1:-1] = skip_distance
+    table = table.ravel()
+    interior_offset = padded_g * padded_g + padded_g + 1
+    # Jump reach in voxels by distance, max(d - 1 - SKIP_EPSILON, 0), for
+    # every distance a table can hold (at most g): one gather per round.
+    reach = np.maximum(np.arange(g + 1) - 1.0 - SKIP_EPSILON, 0.0)
+
+    # Ladder samples a ray may skip per voxel of reach.  Zero-direction
+    # rays never skip; the cap keeps the jump finite (a smaller jump is
+    # always safe) for rays whose largest component is tiny.
+    max_component = np.abs(directions).max(axis=1)
+    with np.errstate(divide="ignore"):
+        per_voxel = np.where(
+            max_component > 0.0, voxel / (step * max_component), 0.0
         )
-        indices = np.floor((points - grid_lo) / voxel).astype(int)
-        inside = np.all((indices >= 0) & (indices < g), axis=-1)
-        clipped = np.clip(indices, 0, g - 1)
-        occupied = occupancy[clipped[..., 0], clipped[..., 1], clipped[..., 2]]
-        occupied = occupied & inside & valid
+    per_voxel = np.minimum(per_voxel, float(num_steps))
 
-        any_hit = occupied.any(axis=1)
-        if any_hit.any():
-            local_rows = np.flatnonzero(any_hit)
-            first = occupied[local_rows].argmax(axis=1)
-            hit_rows_parts.append(active[local_rows])
-            hit_voxels_parts.append(clipped[local_rows, first])
-        # Rays whose remaining samples are all beyond t_far are done.
-        finished = any_hit | ~valid[:, -1]
-        active = active[~finished]
+    # One ladder sample per active ray per round, each at its own index
+    # ``k`` (held as float64: exact for these magnitudes, and ``k + 0.5``
+    # then matches the int-to-float ladder bit for bit).  A ray retires
+    # at its first occupied sample or its first sample beyond ``t_far``;
+    # the ladder is monotone in ``k``, so no later sample could be valid.
+    # Per-ray state is kept per axis and compacted as rays retire.
+    hit = np.zeros(num_rays, dtype=bool)
+    hit_voxels = np.empty((num_rays, 3), dtype=np.int64)
+    rows = np.arange(num_rays)
+    ks = np.zeros(num_rays)
+    state = [
+        np.ascontiguousarray(column)
+        for column in (*origins.T, *directions.T, t_near, t_far, per_voxel)
+    ]
+    lo0, lo1, lo2 = (float(value) for value in grid_lo)
+    outside = float(g)
+    while rows.size:
+        ox, oy, oz, dx, dy, dz, near, far, scale = state
+        t = near + (ks + 0.5) * step
+        valid = t <= far
+        cells = []
+        for o_axis, d_axis, lo_axis in ((ox, dx, lo0), (oy, dy, lo1), (oz, dz, lo2)):
+            cell = np.floor((o_axis + t * d_axis - lo_axis) / voxel)
+            cells.append(np.clip(cell, -1.0, outside, out=cell))
+        cx, cy, cz = cells
+        flat = ((cx * padded_g + cy) * padded_g + cz).astype(np.intp)
+        distance = table[flat + interior_offset]
+        occupied = (distance == 0) & valid
+        if occupied.any():
+            newly_hit = rows[occupied]
+            hit[newly_hit] = True
+            for axis, cell in enumerate(cells):
+                hit_voxels[newly_hit, axis] = cell[occupied]
+        ks += 1.0 + np.floor(reach[distance] * scale)
+        keep = valid & ~occupied
+        if not keep.all():
+            rows = rows[keep]
+            ks = ks[keep]
+            state = [column[keep] for column in state]
 
-    if not hit_rows_parts:
+    hit_rows = np.flatnonzero(hit)
+    if hit_rows.size == 0:
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0, dtype=np.float64)
         return empty_i, empty_i.copy(), empty_f, empty_f.copy(), empty_f.copy()
-    hit_rows = np.concatenate(hit_rows_parts)
-    hit_voxels = np.concatenate(hit_voxels_parts, axis=0)
-    order = np.argsort(hit_rows, kind="stable")
-    hit_rows = hit_rows[order]
-    hit_voxels = hit_voxels[order]
+    hit_voxels = hit_voxels[hit_rows]
 
     # Exact entry point into the hit voxel (slab test on its AABB).
     voxel_lo = grid_lo + hit_voxels * voxel

@@ -197,13 +197,13 @@ def warm_up(name=None) -> KernelSet:
     t_near = np.array([0.5])
     t_far = np.array([2.5])
     grid_lo = np.zeros(3)
-    occupancy = np.ones((1, 1, 1), dtype=bool)
+    skip_distance = np.zeros((1, 1, 1), dtype=np.uint8)
     face_keys = np.arange(6, dtype=np.int64)
     face_order = np.zeros(6, dtype=np.int64)
     voxel_keys = np.zeros(6, dtype=np.int64)
     kernels.march_occupancy(
         origins, directions, t_near, t_far, grid_lo, 1.0, 0.5, 1,
-        occupancy, face_keys, face_order, voxel_keys, 32,
+        skip_distance, face_keys, face_order, voxel_keys,
     )
 
     sdf = np.array([[0.25, -0.25]])

@@ -211,6 +211,30 @@ class TestRenderCache:
         engine.render_baked(other, cameras[0], scene_key="tiny")
         assert len(cache) == 2 and cache.stats.hits == 0
 
+    def test_baked_fingerprint_only_computed_with_scene_key(
+        self, baked_models, cameras, monkeypatch
+    ):
+        """Anonymous baked renders are never cached, so they must not pay
+        for the fingerprint's texture probes; keyed renders still key on
+        it."""
+        import repro.render.engine as engine_module
+
+        calls = []
+        fingerprint = engine_module.baked_fingerprint
+
+        def spy(multi):
+            calls.append(multi)
+            return fingerprint(multi)
+
+        monkeypatch.setattr(engine_module, "baked_fingerprint", spy)
+        cache = RenderCache()
+        engine = RenderEngine(cache=cache)
+        anonymous = engine.render_baked(baked_models, cameras[0])
+        assert calls == [] and len(cache) == 0
+        keyed = engine.render_baked(baked_models, cameras[0], scene_key="tiny")
+        assert len(calls) == 1 and len(cache) == 1
+        assert_results_identical(anonymous, keyed, atol=0.0)
+
     def test_same_scene_key_different_content_never_collides(self):
         """Two scenes that share a caller-supplied key (e.g. two datasets
         generated without explicit names) must not serve each other's

@@ -17,6 +17,10 @@ proves the *algorithms* equivalent even on machines without numba; when
 numba is installed (the CI kernel leg) the identical assertions run against
 the compiled functions too, pinning the codegen (``fastmath=False``).
 
+The marcher skips empty space with a chessboard distance table, so both
+the numpy reference and the loops are also pinned to a brute-force oracle
+that walks every ladder sample (``TestMarchAgainstOracle``).
+
 Engine-level tests then pin that a full render is bit-identical across
 kernels for the exact-tier paths (baked marching, sphere tracing) and
 ULP-close for the volume path — including through a process backend, the
@@ -25,14 +29,17 @@ fork-safety contract (kernels ship as *names*, never as compiled objects).
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baking.baked_model import BakedMultiModel, bake_field
 from repro.baking.meshing import _TANGENT_AXES
+from repro.baking.voxelize import VoxelGrid
 from repro.core.pipeline import NeRFlexPipeline, PipelineConfig
 from repro.device.models import DeviceProfile
 from repro.exec.backends import SerialBackend
 from repro.render import RenderEngine
-from repro.render.engine import _face_keys, _ray_aabb
+from repro.render.engine import _ray_aabb
 from repro.render.kernels import (
     KERNELS,
     NUMBA_AVAILABLE,
@@ -97,7 +104,7 @@ def march_case(baked_models):
     t_near = np.maximum(t_near, 0.0)
     candidates = np.flatnonzero(t_far > t_near)
     assert candidates.size > 50  # the case must actually march
-    face_keys, face_order, voxel_keys = _face_keys(model)
+    face_keys, face_order, voxel_keys = model.faces.lookup_keys
     return {
         "origins": origins[candidates],
         "directions": directions[candidates],
@@ -107,11 +114,10 @@ def march_case(baked_models):
         "voxel": float(grid.voxel_size),
         "step": float(grid.voxel_size) * 0.5,
         "resolution": int(grid.resolution),
-        "occupancy": np.ascontiguousarray(grid.occupancy),
+        "skip_distance": grid.skip_distance,
         "face_keys": face_keys,
         "face_order": face_order,
         "voxel_keys": voxel_keys,
-        "slab_steps": 32,
     }
 
 
@@ -119,9 +125,14 @@ def march_with(kernels, case):
     return kernels.march_occupancy(
         case["origins"], case["directions"], case["t_near"], case["t_far"],
         case["grid_lo"], case["voxel"], case["step"], case["resolution"],
-        case["occupancy"], case["face_keys"], case["face_order"],
-        case["voxel_keys"], case["slab_steps"],
+        case["skip_distance"], case["face_keys"], case["face_order"],
+        case["voxel_keys"],
     )
+
+
+def skip_table(occupancy):
+    """The cached chessboard skip table of a bare occupancy array."""
+    return VoxelGrid(np.zeros(3), 1.0, occupancy.shape[0], occupancy).skip_distance
 
 
 class TestRegistry:
@@ -222,11 +233,10 @@ class TestExactTierParity:
             "voxel": 0.3,
             "step": 0.15,
             "resolution": g,
-            "occupancy": occupancy,
+            "skip_distance": skip_table(occupancy),
             "face_keys": face_key[order].astype(np.int64),
             "face_order": order,
             "voxel_keys": voxel_key[order].astype(np.int64),
-            "slab_steps": 4,
         }
         num_rays = 400
         origins = rng.normal(scale=1.5, size=(num_rays, 3)) + case["grid_lo"]
@@ -256,7 +266,7 @@ class TestExactTierParity:
         out = get_kernels(backend).march_occupancy(
             np.array([[-2.0, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]]),
             np.array([0.0]), np.array([5.0]),
-            np.zeros(3), 1.0, 0.5, 3, occupancy, keys, keys, keys, 32,
+            np.zeros(3), 1.0, 0.5, 3, skip_table(occupancy), keys, keys, keys,
         )
         for array, dtype in zip(out, (np.int64, np.int64, np.float64,
                                       np.float64, np.float64)):
@@ -265,10 +275,10 @@ class TestExactTierParity:
 
     def test_march_zero_rays(self, backend):
         keys = np.zeros(1, dtype=np.int64)
+        occupancy = np.ones((3, 3, 3), dtype=bool)
         out = get_kernels(backend).march_occupancy(
             np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0),
-            np.zeros(3), 1.0, 0.5, 3, np.ones((3, 3, 3), dtype=bool),
-            keys, keys, keys, 32,
+            np.zeros(3), 1.0, 0.5, 3, skip_table(occupancy), keys, keys, keys,
         )
         assert all(array.size == 0 for array in out)
 
@@ -310,6 +320,236 @@ class TestExactTierParity:
         assert_exact(t_ref, t_cand)
         assert_exact(hit_ref, hit_cand)
         assert_exact(alive_ref.astype(np.int64), alive_cand)
+
+
+def first_occupied_oracle(case):
+    """Test-only brute force: walk every ladder sample, keep the first hit.
+
+    Returns ``{row: (ix, iy, iz)}`` for every ray that hits.
+    """
+    occupancy = case["occupancy"]
+    g = occupancy.shape[0]
+    hits = {}
+    for row in range(case["origins"].shape[0]):
+        k = 0
+        while True:
+            t = case["t_near"][row] + (k + 0.5) * case["step"]
+            if t > case["t_far"][row]:
+                break
+            point = case["origins"][row] + t * case["directions"][row]
+            cell = np.floor((point - case["grid_lo"]) / case["voxel"]).astype(np.int64)
+            if np.all((cell >= 0) & (cell < g)) and occupancy[tuple(cell)]:
+                hits[row] = tuple(int(c) for c in cell)
+                break
+            k += 1
+    return hits
+
+
+def oracle_case(occupancy, grid_lo, voxel, origins, directions, step_scale):
+    """Marcher inputs for a grid whose every occupied voxel has all six faces.
+
+    With the full face table the exact ``(voxel, axis, sign)`` key always
+    resolves, so a returned face index names the hit voxel
+    (``case["face_voxels"]``) — which is what the oracle predicts.
+    """
+    g = occupancy.shape[0]
+    grid_lo = np.asarray(grid_lo, dtype=np.float64)
+    occupied = np.argwhere(occupancy).astype(np.int64)
+    face_voxels = np.repeat(occupied, 6, axis=0)
+    axes = np.tile(np.repeat(np.arange(3), 2), occupied.shape[0])
+    signs = np.tile([-1, 1], 3 * occupied.shape[0])
+    voxel_key = (face_voxels[:, 0] * g + face_voxels[:, 1]) * g + face_voxels[:, 2]
+    face_key = voxel_key * 6 + axes * 2 + (signs > 0)
+    order = np.argsort(face_key, kind="stable").astype(np.int64)
+    if order.size == 0:  # the kernels need a non-empty table to search
+        face_key = voxel_key = order = np.zeros(1, dtype=np.int64)
+    t_near, t_far = _ray_aabb(origins, directions, grid_lo, grid_lo + g * voxel)
+    t_near = np.maximum(t_near, 0.0)
+    candidates = np.flatnonzero(t_far > t_near)
+    return {
+        "origins": origins[candidates],
+        "directions": directions[candidates],
+        "t_near": t_near[candidates],
+        "t_far": t_far[candidates],
+        "grid_lo": grid_lo,
+        "voxel": float(voxel),
+        "step": float(voxel) * step_scale,
+        "resolution": g,
+        "occupancy": occupancy,
+        "skip_distance": skip_table(occupancy),
+        "face_keys": face_key[order].astype(np.int64),
+        "face_order": order,
+        "voxel_keys": voxel_key[order].astype(np.int64),
+        "face_voxels": face_voxels,
+    }
+
+
+def assert_matches_oracle(backend, case):
+    """The backend's hits are the oracle's, and bit-identical to numpy's."""
+    expected = first_occupied_oracle(case)
+    out = march_with(get_kernels(backend), case)
+    got = {
+        int(row): tuple(int(c) for c in case["face_voxels"][face])
+        for row, face in zip(out[0], out[1])
+    }
+    assert got == expected
+    if backend != "numpy":
+        for ref, cand in zip(march_with(get_kernels("numpy"), case), out):
+            assert_exact(ref, cand)
+    return expected
+
+
+def unit_directions(rng, count, parallel_share=0.25):
+    """Random unit directions, a share of them exactly axis-parallel."""
+    directions = rng.normal(size=(count, 3))
+    for ray in np.flatnonzero(rng.random(count) < parallel_share):
+        directions[ray] = 0.0
+        directions[ray, rng.integers(0, 3)] = rng.choice([-1.0, 1.0])
+    return directions / np.linalg.norm(directions, axis=1, keepdims=True)
+
+
+def adversarial_case(name):
+    """Hand-built grids and rays that stress the skip table's edges."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    g = 10
+    occupancy = np.zeros((g, g, g), dtype=bool)
+    grid_lo, voxel = np.array([0.25, -1.0, 0.5]), 0.1
+    far_origin = grid_lo + np.array([2.0, 1.5, 2.5]) * g * voxel
+    if name == "all-empty":
+        origins = far_origin + rng.normal(scale=0.3, size=(64, 3))
+        directions = grid_lo + 0.5 * g * voxel - origins
+    elif name == "full":
+        occupancy[:] = True
+        origins = far_origin + rng.normal(scale=0.3, size=(64, 3))
+        directions = grid_lo + rng.random((64, 3)) * g * voxel - origins
+    elif name == "corner-voxel":
+        # The whole grid is empty space between the rays and the target.
+        occupancy[0, 0, 0] = True
+        origins = grid_lo + g * voxel * 1.5 + rng.normal(scale=0.05, size=(64, 3))
+        targets = grid_lo + voxel * rng.uniform(-0.2, 1.2, size=(64, 3))
+        directions = targets - origins
+    elif name == "axis-parallel":
+        occupancy = rng.random((g, g, g)) < 0.02
+        occupancy[3, 4, 5] = True
+        lattice = rng.integers(0, g, size=(96, 3)) + rng.choice([0.0, 0.5], size=(96, 3))
+        origins = grid_lo + lattice * voxel
+        axis = rng.integers(0, 3, 96)
+        origins[np.arange(96), axis] = grid_lo[axis] + rng.choice([-1.0, 2.0], 96)
+        directions = np.zeros((96, 3))
+        directions[np.arange(96), axis] = np.where(
+            origins[np.arange(96), axis] < grid_lo[axis], 1.0, -1.0
+        )
+    elif name == "inside-start":
+        occupancy = rng.random((g, g, g)) < 0.03
+        origins = grid_lo + rng.random((96, 3)) * g * voxel
+        directions = unit_directions(rng, 96)
+    elif name == "grazing-edges":
+        # Exactly representable voxels; rays run along cell faces, edges
+        # and through cell corners, where floor() sits on a boundary.
+        grid_lo, voxel = np.zeros(3), 0.25
+        occupancy = rng.random((g, g, g)) < 0.04
+        occupancy[g - 1, g - 1, g - 1] = True
+        lattice = rng.integers(0, g + 1, size=(96, 3)).astype(np.float64)
+        origins = lattice * voxel
+        directions = rng.choice([-1.0, 0.0, 1.0], size=(96, 3))
+        directions[~directions.any(axis=1)] = [1.0, 1.0, 0.0]
+        origins -= directions * 3.0 * g * voxel
+    else:  # pragma: no cover - parametrize names every case
+        raise ValueError(name)
+    return oracle_case(occupancy, grid_lo, voxel, origins, directions, 0.5)
+
+
+ORACLE_BACKENDS = ["numpy", *CANDIDATE_BACKENDS]
+
+
+@pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+class TestMarchAgainstOracle:
+    """Empty-space skipping finds exactly the full ladder's first hit."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        g=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        step_scale=st.sampled_from([0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_grids(self, backend, g, density, step_scale, seed):
+        rng = np.random.default_rng(seed)
+        # Cubing the density spends most examples on sparse grids, where
+        # the skip distances are large.
+        occupancy = rng.random((g, g, g)) < density**3
+        grid_lo = rng.normal(size=3)
+        voxel = float(rng.uniform(0.05, 0.5))
+        center = grid_lo + 0.5 * g * voxel
+        origins = center + rng.normal(scale=g * voxel, size=(48, 3))
+        directions = unit_directions(rng, 48)
+        case = oracle_case(occupancy, grid_lo, voxel, origins, directions,
+                           step_scale)
+        assert_matches_oracle(backend, case)
+
+    # Rays lying exactly in a slab plane give 0 * inf = NaN in the AABB
+    # tests, which the kernels resolve explicitly; numpy still warns.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", [
+        "all-empty", "full", "corner-voxel", "axis-parallel", "inside-start",
+        "grazing-edges",
+    ])
+    def test_adversarial(self, backend, name):
+        case = adversarial_case(name)
+        assert case["origins"].shape[0] > 0
+        hits = assert_matches_oracle(backend, case)
+        if name == "all-empty":
+            assert hits == {}
+        elif name == "full":
+            assert len(hits) == case["origins"].shape[0]
+        else:
+            assert hits
+
+
+def brute_force_chessboard(occupancy):
+    """Every cell's L-inf distance to the nearest occupied cell."""
+    g = occupancy.shape[0]
+    occupied = np.argwhere(occupancy)
+    if occupied.size == 0:
+        return np.full(occupancy.shape, g)
+    cells = np.argwhere(np.ones_like(occupancy))
+    distance = np.abs(cells[:, None, :] - occupied[None, :, :]).max(axis=2)
+    return distance.min(axis=1).reshape(occupancy.shape)
+
+
+class TestSkipDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.integers(1, 7),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, g, density, seed):
+        occupancy = np.random.default_rng(seed).random((g, g, g)) < density**2
+        table = skip_table(occupancy)
+        assert table.dtype == np.uint8
+        np.testing.assert_array_equal(table, brute_force_chessboard(occupancy))
+        np.testing.assert_array_equal(table == 0, occupancy)
+
+    def test_all_empty_grid_skips_everything(self):
+        table = skip_table(np.zeros((5, 5, 5), dtype=bool))
+        assert table.dtype == np.uint8
+        assert np.all(table == 5)
+
+    def test_cached_per_grid(self):
+        occupancy = np.zeros((4, 4, 4), dtype=bool)
+        occupancy[1, 2, 3] = True
+        grid = VoxelGrid(np.zeros(3), 1.0, 4, occupancy)
+        assert grid.skip_distance is grid.skip_distance
+        assert not grid.skip_distance.flags.writeable
+
+    def test_face_lookup_keys_built_once_per_model(self, baked_models):
+        faces = baked_models.submodels[0].faces
+        tables = faces.lookup_keys
+        assert faces.lookup_keys is tables
+        for table in tables:
+            assert table.dtype == np.int64 and not table.flags.writeable
 
 
 @pytest.mark.parametrize("backend", CANDIDATE_BACKENDS)
