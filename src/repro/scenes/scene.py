@@ -59,8 +59,12 @@ class PlacedObject:
 
     @property
     def sdf_lipschitz(self) -> float:
-        """Uniform scaling and translation preserve the object's bound."""
-        return float(getattr(self.obj, "sdf_lipschitz", 1.0))
+        """Uniform scaling and translation preserve the object's bound.
+
+        An object that advertises no bound has none (``inf``), so the
+        voxeliser samples it exhaustively instead of pruning with 1.
+        """
+        return float(getattr(self.obj, "sdf_lipschitz", np.inf))
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance in world space (scale-corrected)."""
@@ -108,7 +112,7 @@ class Scene:
     def sdf_lipschitz(self) -> float:
         """A min-union of SDFs keeps the largest member bound."""
         return max(
-            float(getattr(placed, "sdf_lipschitz", 1.0)) for placed in self.placed
+            float(getattr(placed, "sdf_lipschitz", np.inf)) for placed in self.placed
         )
 
     def sdf(self, points: np.ndarray) -> np.ndarray:

@@ -86,9 +86,14 @@ class TestVoxelize:
     def test_unadvertised_lipschitz_forces_exhaustive_sampling(self):
         """A field that does not advertise ``sdf_lipschitz`` (e.g. an
         MLP-backed pseudo-SDF with unbounded gradients) must be sampled
-        exhaustively — assuming 1-Lipschitz would corrupt its occupancy."""
+        exhaustively — assuming 1-Lipschitz would corrupt its occupancy.
+        Placing it as an object, alone or in a scene, must not invent a
+        bound either."""
+        from repro.baking.voxelize import _chunked_sdf, _cubic_bounds
+        from repro.scenes.scene import PlacedObject, Scene
 
         class SteepField:
+            name = "steep"
             bounds_min = np.array([-1.0, -1.0, -1.0])
             bounds_max = np.array([1.0, 1.0, 1.0])
 
@@ -96,20 +101,24 @@ class TestVoxelize:
                 # 40x steeper than a true SDF: thin shells a 1-Lipschitz
                 # pruning bound would skip right over.
                 radius = np.linalg.norm(points, axis=1)
-                return np.sin(40.0 * radius) * 0.05
+                return np.sin(40.0 * radius)
 
         field = SteepField()
         assert not hasattr(field, "sdf_lipschitz")
-        grid = voxelize_field(field, resolution=32)
-        from repro.baking.voxelize import _chunked_sdf, _cubic_bounds
-
-        lo, hi = _cubic_bounds(field.bounds_min, field.bounds_max, 0.06)
-        voxel = float((hi - lo)[0]) / 32
-        coords = (np.arange(32) + 0.5) * voxel
-        gx, gy, gz = np.meshgrid(coords, coords, coords, indexing="ij")
-        centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + lo
-        exhaustive = (_chunked_sdf(field, centers, 262144) <= 0.0).reshape(32, 32, 32)
-        assert np.array_equal(grid.occupancy, exhaustive)
+        placed = PlacedObject(obj=field)
+        for candidate in (field, placed, Scene([placed])):
+            assert not np.isfinite(getattr(candidate, "sdf_lipschitz", np.inf))
+            for resolution in (32, 64):
+                grid = voxelize_field(candidate, resolution=resolution)
+                lo, hi = _cubic_bounds(candidate.bounds_min, candidate.bounds_max, 0.06)
+                voxel = float((hi - lo)[0]) / resolution
+                coords = (np.arange(resolution) + 0.5) * voxel
+                gx, gy, gz = np.meshgrid(coords, coords, coords, indexing="ij")
+                centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + lo
+                exhaustive = (_chunked_sdf(candidate, centers, 262144) <= 0.0).reshape(
+                    resolution, resolution, resolution
+                )
+                assert np.array_equal(grid.occupancy, exhaustive)
 
     def test_floater_fields_have_no_finite_lipschitz_bound(self, sphere):
         """Floaters appear discontinuously, so such fields must force the

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.scenes import library
+from repro.scenes import objects as objects_module
 from repro.scenes import primitives as prim
 from repro.scenes.objects import (
     OBJECT_LIBRARY,
@@ -13,6 +16,7 @@ from repro.scenes.objects import (
     make_object,
 )
 from repro.scenes.scene import PlacedObject, Scene, compose_scene
+from tests import _sdf_oracle as oracle
 
 _POINTS = st.lists(
     st.tuples(
@@ -101,6 +105,104 @@ class TestPrimitives:
         assert np.allclose(dist, radius - 0.7)
 
 
+def _assert_bit_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _coordinates(specials: list):
+    """One axis of query points: exactly on the primitive's centre plane,
+    faces or the signed zeros, ordinary values, or extreme magnitudes."""
+    return st.one_of(
+        st.sampled_from(specials + [0.0, -0.0]),
+        st.floats(-2.0, 2.0),
+        st.builds(
+            lambda sign, exponent: sign * 10.0**exponent,
+            st.sampled_from((-1.0, 1.0)),
+            st.floats(-300.0, 150.0),
+        ),
+    )
+
+
+@st.composite
+def _points_around(draw, specials: tuple) -> np.ndarray:
+    """More than 8 points (numpy's pairwise-summation threshold), with
+    ``specials[axis]`` the coordinates that put a point on a face or axis."""
+    count = draw(st.integers(9, 48))
+    columns = [
+        draw(hnp.arrays(np.float64, count, elements=_coordinates(list(values))))
+        for values in specials
+    ]
+    return np.stack(columns, axis=1)
+
+
+_CENTER = st.tuples(*[st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0))] * 3)
+_EXTENT = st.floats(0.01, 1.0)
+
+
+class TestColumnPrimitivesMatchOracle:
+    """The column-wise primitives give the pre-rewrite ``(N, 3)``-reduction
+    results bit for bit, on one point and on a batch."""
+
+    @staticmethod
+    def _check(name: str, points: np.ndarray, *args) -> None:
+        for batch in (points, points[:1]):
+            _assert_bit_equal(getattr(prim, name)(batch, *args), getattr(oracle, name)(batch, *args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sphere(self, data):
+        center, radius = data.draw(_CENTER), data.draw(_EXTENT)
+        points = data.draw(_points_around(tuple((c, c - radius, c + radius) for c in center)))
+        self._check("sdf_sphere", points, center, radius)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_box_and_rounded_box(self, data):
+        center = data.draw(_CENTER)
+        half = data.draw(st.tuples(_EXTENT, _EXTENT, _EXTENT))
+        radius = data.draw(st.floats(0.0, 0.99)) * min(half)
+        points = data.draw(
+            _points_around(tuple((c, c - h, c + h) for c, h in zip(center, half)))
+        )
+        self._check("sdf_box", points, center, half)
+        self._check("sdf_rounded_box", points, center, half, radius)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cylinder(self, data):
+        (cx, cy, cz), radius, half_height = (
+            data.draw(_CENTER), data.draw(_EXTENT), data.draw(_EXTENT)
+        )
+        points = data.draw(
+            _points_around(
+                ((cx, cx - radius, cx + radius), (cy, cy - half_height, cy + half_height),
+                 (cz, cz - radius, cz + radius))
+            )
+        )
+        self._check("sdf_cylinder", points, (cx, cy, cz), radius, half_height)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_capsule(self, data):
+        a = data.draw(_CENTER)
+        # Equal endpoints take the degenerate ``denom == 0`` branch.
+        b = data.draw(st.one_of(st.just(a), _CENTER))
+        radius = data.draw(_EXTENT)
+        points = data.draw(_points_around(tuple(zip(a, b))))
+        self._check("sdf_capsule", points, a, b, radius)
+
+    def test_large_batches(self):
+        points = np.random.default_rng(0).uniform(-1.5, 1.5, size=(20000, 3))
+        self._check("sdf_sphere", points, (0.1, -0.2, 0.3), 0.6)
+        self._check("sdf_box", points, (0.1, -0.2, 0.3), (0.5, 0.2, 0.7))
+        self._check("sdf_rounded_box", points, (0.1, -0.2, 0.3), (0.5, 0.2, 0.7), 0.1)
+        self._check("sdf_cylinder", points, (0.1, -0.2, 0.3), 0.4, 0.5)
+        self._check("sdf_capsule", points, (-0.3, 0.1, 0.0), (0.4, 0.2, -0.1), 0.2)
+        self._check("sdf_capsule", points, (0.2, 0.2, 0.2), (0.2, 0.2, 0.2), 0.3)
+
+
 class TestObjects:
     def test_library_contains_reference_objects(self):
         for name in REFERENCE_OBJECT_NAMES:
@@ -144,6 +246,23 @@ class TestObjects:
         inside = obj.sdf(points) <= 0
         outside_box = np.any((points < obj.bounds_min) | (points > obj.bounds_max), axis=1)
         assert not np.any(inside & outside_box), f"{name} spills outside its bounds"
+
+    @pytest.mark.parametrize("name", list_objects() + ["backdrop"])
+    def test_sdf_and_albedo_match_oracle_primitives(self, name, monkeypatch):
+        """Every library object gives the same bits on the column-wise
+        primitives as on the pre-rewrite oracle."""
+        if name == "backdrop":
+            obj = library._make_room_backdrop(2.4, 1.4, 2.4)
+        else:
+            obj = make_object(name)
+        points = np.random.default_rng(3).uniform(
+            obj.bounds_min - 0.25, obj.bounds_max + 0.25, size=(3000, 3)
+        )
+        sdf, albedo = obj.sdf(points), obj.albedo(points)
+        monkeypatch.setattr(objects_module, "prim", oracle)
+        monkeypatch.setattr(library, "prim", oracle)
+        _assert_bit_equal(sdf, obj.sdf(points))
+        _assert_bit_equal(albedo, obj.albedo(points))
 
     def test_complexity_ranks_follow_paper_order(self):
         ranks = [make_object(name).complexity_rank for name in REFERENCE_OBJECT_NAMES]
