@@ -38,6 +38,7 @@ from repro.exec.backends import Backend, resolve_backend
 from repro.nerf.sampling import stratified_samples
 from repro.render.cache import RenderCache
 from repro.render.kernels import get_kernels, resolve_kernel_name
+from repro.render.kernels.numpy_ref import stack_grids
 from repro.scenes.cameras import Camera, camera_rays
 from repro.scenes.raytrace import (
     RenderResult,
@@ -170,15 +171,39 @@ def _default_max_distance(content, camera: Camera) -> float:
     return 4.0 * max(extent, 1.0) + float(np.linalg.norm(camera.position - center))
 
 
-def _ray_aabb(origins, directions, lo, hi):
-    """Slab-method ray/AABB intersection; returns (t_near, t_far)."""
+def _candidate_pairs(origins, directions, lo, hi) -> tuple:
+    """The (ray, box) pairs whose clamped slab interval is non-empty.
+
+    ``lo``/``hi`` are ``(G, 3)`` box corners.  Returns ``(box_index,
+    ray_index, t_near, t_far)`` of every pair with ``t_far > t_near``, box
+    by box and ray by ray within a box, ``t_near`` clamped at ``0``.  The
+    slab test runs on per-axis columns with ``1 / directions`` computed once
+    for all boxes, and ``np.fmax``/``np.fmin`` chains take the NaN-ignoring
+    max/min over the axes (the ``0 * inf`` of a ray lying in a slab plane),
+    so the intervals are bit-identical to the row-wise ``nanmax``/``nanmin``
+    form.  Boxes are processed one at a time in ``(N,)`` buffers, so each
+    pass stays cache-sized and no ``(G, N)`` array is held.
+    """
+    num_rays = origins.shape[0]
+    near, far, t_lo, t_hi, bound = (np.empty(num_rays) for _ in range(5))
+    parts = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / directions
-    t_lo = (lo - origins) * inv
-    t_hi = (hi - origins) * inv
-    t_near = np.nanmax(np.minimum(t_lo, t_hi), axis=1)
-    t_far = np.nanmin(np.maximum(t_lo, t_hi), axis=1)
-    return t_near, t_far
+        columns = [np.ascontiguousarray(origins[:, axis]) for axis in range(3)]
+        inverses = [1.0 / directions[:, axis] for axis in range(3)]
+        for box, (box_lo, box_hi) in enumerate(zip(lo, hi)):
+            for axis, (origin, inv) in enumerate(zip(columns, inverses)):
+                np.multiply(np.subtract(box_lo[axis], origin, out=t_lo), inv, out=t_lo)
+                np.multiply(np.subtract(box_hi[axis], origin, out=t_hi), inv, out=t_hi)
+                if axis == 0:
+                    np.minimum(t_lo, t_hi, out=near)
+                    np.maximum(t_lo, t_hi, out=far)
+                else:
+                    np.fmax(near, np.minimum(t_lo, t_hi, out=bound), out=near)
+                    np.fmin(far, np.maximum(t_lo, t_hi, out=bound), out=far)
+            np.maximum(near, 0.0, out=near)
+            rays = np.flatnonzero(far > near)
+            parts.append((np.full(rays.size, box), rays, near[rays], far[rays]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _sphere_trace_chunk(
@@ -687,77 +712,76 @@ class RenderEngine:
 
     # -- baked models --------------------------------------------------------
 
-    def _march_baked_single(
-        self,
-        model,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        step_scale: float,
-    ) -> tuple:
-        """First-hit occupancy-grid marching of one baked sub-model."""
-        num_rays = origins.shape[0]
-        colors = np.zeros((num_rays, 3))
-        depths = np.full(num_rays, np.inf)
-        hits = np.zeros(num_rays, dtype=bool)
+    def _march_baked(self, models, origins, directions, step_scale) -> tuple:
+        """First-hit occupancy marching of every ray through every grid.
 
-        if model.faces.num_faces == 0:
-            return colors, depths, hits
-
-        grid = model.grid
-        lo, hi = grid.bounds_min, grid.bounds_max
-        voxel = float(grid.voxel_size)
-        step = voxel * step_scale
-
-        face_keys_sorted, face_order, voxel_keys_sorted = model.faces.lookup_keys
-        g = int(grid.resolution)
-        grid_lo = np.ascontiguousarray(np.asarray(lo, dtype=np.float64))
-        skip_distance = grid.skip_distance
-
-        t_near, t_far = _ray_aabb(origins, directions, lo, hi)
-        t_near = np.maximum(t_near, 0.0)
-        candidates = np.flatnonzero(t_far > t_near)
-
+        The (ray, sub-model) candidate pairs — rays whose clamped interval
+        through a sub-model's grid is non-empty — are concatenated in
+        sub-model order and marched in chunks of ``chunk_rays`` pairs, one
+        multi-grid kernel call per chunk.  Returns the hits in pair order
+        (sub-model by sub-model) as ``(rays, grids, colors, depths)``, or
+        ``None`` when nothing hit.
+        """
+        grids = [model.grid for model in models]
+        pair_grid, pair_ray, pair_near, pair_far = _candidate_pairs(
+            origins,
+            directions,
+            np.array([grid.bounds_min for grid in grids], dtype=np.float64),
+            np.array([grid.bounds_max for grid in grids], dtype=np.float64),
+        )
+        grid_args = stack_grids(
+            (
+                grid.bounds_min,
+                float(grid.voxel_size),
+                float(grid.voxel_size) * step_scale,
+                grid.skip_distance,
+                model.faces.lookup_keys,
+            )
+            for grid, model in zip(grids, models)
+        )
         kernel_name = self.kernel
 
         def process(start):
-            # Pure chunk function (see volume path): returns the chunk's hit
-            # rows instead of writing shared buffers, so it can execute on
-            # any backend.  The march itself — skipping march, voxel entry,
-            # face lookup — is a kernel (exact parity tier: every backend
-            # returns bit-identical hits); texture sampling stays here with
-            # the model object.
+            # Pure chunk function (see volume path): returns the chunk's hits
+            # instead of writing shared buffers, so it can execute on any
+            # backend.  The march itself — skipping march, voxel entry, face
+            # lookup — is one kernel call over the chunk's pairs (exact
+            # parity tier: every backend returns bit-identical hits);
+            # texture sampling stays here with the model objects, one call
+            # per sub-model run of hits.
             kernels = get_kernels(kernel_name)
-            ray_ids = candidates[start : start + self.chunk_rays]
+            stop = start + self.chunk_rays
+            ray_ids = pair_ray[start:stop]
+            grid_ids = pair_grid[start:stop]
             hit_rows, face_indices, u, v, t_entry = kernels.march_occupancy(
                 origins[ray_ids],
                 directions[ray_ids],
-                t_near[ray_ids],
-                t_far[ray_ids],
-                grid_lo,
-                voxel,
-                step,
-                g,
-                skip_distance,
-                face_keys_sorted,
-                face_order,
-                voxel_keys_sorted,
+                pair_near[start:stop],
+                pair_far[start:stop],
+                grid_ids,
+                *grid_args,
             )
             if hit_rows.size == 0:
                 return None
-            sampled = model.texture.sample(face_indices, u, v)
-            return ray_ids[hit_rows], sampled, t_entry
+            hit_grids = grid_ids[hit_rows]
+            sampled = np.empty((hit_rows.size, 3))
+            runs = np.flatnonzero(np.diff(hit_grids)) + 1
+            for run in np.split(np.arange(hit_rows.size), runs):
+                sampled[run] = models[hit_grids[run[0]]].texture.sample(
+                    face_indices[run], u[run], v[run]
+                )
+            return ray_ids[hit_rows], hit_grids, sampled, t_entry
 
-        chunk_results = self._map_chunks(
-            process, range(0, candidates.size, self.chunk_rays)
-        )
-        for result in chunk_results:
-            if result is None:
-                continue
-            global_rows, sampled, t_entry = result
-            colors[global_rows] = sampled
-            depths[global_rows] = t_entry
-            hits[global_rows] = True
-        return colors, depths, hits
+        chunk_results = [
+            result
+            for result in self._map_chunks(
+                process, range(0, pair_ray.size, self.chunk_rays)
+            )
+            if result is not None
+        ]
+        if not chunk_results:
+            return None
+        return tuple(np.concatenate(parts) for parts in zip(*chunk_results))
 
     def render_baked_rays(
         self,
@@ -767,20 +791,37 @@ class RenderEngine:
         background=(1.0, 1.0, 1.0),
         step_scale: float = 0.5,
     ) -> dict:
-        """Flat-ray rendering of a baked multi-model (depth compositing)."""
+        """Flat-ray rendering of a baked multi-model (depth compositing).
+
+        All sub-models are marched together (:meth:`_march_baked`); their
+        hits are then depth-composited in sub-model order with a strict
+        ``<``, so a depth tie goes to the lowest sub-model index.
+        """
         num_rays = origins.shape[0]
         background = np.asarray(background, dtype=np.float64)
         best_colors = np.tile(background, (num_rays, 1))
         best_depths = np.full(num_rays, np.inf)
         best_ids = np.full(num_rays, -1, dtype=int)
-        for submodel_index, submodel in enumerate(multi.submodels):
-            colors, depths, hits = self._march_baked_single(
-                submodel, origins, directions, step_scale=step_scale
+        marched = [
+            index for index, model in enumerate(multi.submodels)
+            if model.faces.num_faces
+        ]
+        hits = None
+        if marched:
+            hits = self._march_baked(
+                [multi.submodels[index] for index in marched],
+                origins, directions, step_scale,
             )
-            closer = hits & (depths < best_depths)
-            best_colors[closer] = colors[closer]
-            best_depths[closer] = depths[closer]
-            best_ids[closer] = submodel_index
+        if hits is not None:
+            hit_rays, hit_grids, colors, depths = hits
+            bounds = np.searchsorted(hit_grids, np.arange(len(marched) + 1))
+            for grid, index in enumerate(marched):
+                run = slice(bounds[grid], bounds[grid + 1])
+                closer = depths[run] < best_depths[hit_rays[run]]
+                rays = hit_rays[run][closer]
+                best_colors[rays] = colors[run][closer]
+                best_depths[rays] = depths[run][closer]
+                best_ids[rays] = index
         return {
             "rgb": best_colors,
             "depth": best_depths,

@@ -23,10 +23,10 @@ Determinism notes, load-bearing for the parity tiers:
 * NaN propagation mirrors ``np.minimum`` / ``np.maximum`` semantics
   wherever the reference could see a NaN (axis-parallel slab tests).
 
-The per-ray march walks the sample ladder ``t = t_near + (k + 0.5) *
-step`` for ``t <= t_far`` and jumps over the samples the skip table proves
-empty, exactly as the vectorised reference does, so the first occupied
-voxel — and everything derived from it — is identical.
+The per-row march walks the sample ladder ``t = t_near + (k + 0.5) *
+step`` of the row's grid for ``t <= t_far`` and jumps over the samples the
+skip table proves empty, exactly as the vectorised reference does, so the
+first occupied voxel — and everything derived from it — is identical.
 """
 
 from __future__ import annotations
@@ -54,19 +54,21 @@ def march_occupancy(
     directions,
     t_near,
     t_far,
+    grid_index,
     grid_lo,
     voxel,
     step,
     resolution,
-    skip_distance,
+    skip_tables,
+    skip_base,
     face_keys,
     face_order,
     voxel_keys,
+    key_base,
+    face_start,
 ):
-    """Per-ray first-hit march with empty-space skipping (see numpy_ref)."""
+    """Per-row multi-grid first-hit march with empty-space skipping (see numpy_ref)."""
     num_rays = origins.shape[0]
-    g = resolution
-    num_faces = face_keys.shape[0]
 
     hit_rows = np.empty(num_rays, dtype=np.int64)
     face_indices = np.empty(num_rays, dtype=np.int64)
@@ -75,11 +77,18 @@ def march_occupancy(
     t_entry_out = np.empty(num_rays, dtype=np.float64)
     count = 0
 
-    lo0 = grid_lo[0]
-    lo1 = grid_lo[1]
-    lo2 = grid_lo[2]
-
     for i in range(num_rays):
+        grid = grid_index[i]
+        g = resolution[grid]
+        size = voxel[grid]
+        ray_step = step[grid]
+        lo0 = grid_lo[grid, 0]
+        lo1 = grid_lo[grid, 1]
+        lo2 = grid_lo[grid, 2]
+        padded = g + 2
+        # The grid's padded table, offset to its interior (cell 0, 0, 0).
+        base = skip_base[grid] + (padded * padded + padded + 1)
+
         near = t_near[i]
         far = t_far[i]
         o0 = origins[i, 0]
@@ -91,7 +100,7 @@ def march_occupancy(
 
         # Upper bound on the ladder index: every sample from here on lies
         # beyond ``far``.  Jumps are capped at it, which keeps them finite.
-        k_limit = int((far - near) / step) + 2
+        k_limit = int((far - near) / ray_step) + 2
         # Ladder samples skippable per voxel of reach (numpy_ref's
         # ``per_voxel``), without dividing by a vanishing component.
         max_component = abs(d0)
@@ -99,9 +108,9 @@ def march_occupancy(
             max_component = abs(d1)
         if abs(d2) > max_component:
             max_component = abs(d2)
-        denominator = step * max_component
-        if denominator * k_limit > voxel:
-            per_voxel = voxel / denominator
+        denominator = ray_step * max_component
+        if denominator * k_limit > size:
+            per_voxel = size / denominator
         elif max_component > 0.0:
             per_voxel = float(k_limit)
         else:
@@ -114,23 +123,23 @@ def march_occupancy(
         found = False
         k = 0
         while k < k_limit:
-            t = near + (k + 0.5) * step
+            t = near + (k + 0.5) * ray_step
             if t > far:
                 break
             k += 1
             p0 = o0 + t * d0
             p1 = o1 + t * d1
             p2 = o2 + t * d2
-            i0 = int(math.floor((p0 - lo0) / voxel))
+            i0 = int(math.floor((p0 - lo0) / size))
             if i0 < 0 or i0 >= g:
                 continue
-            i1 = int(math.floor((p1 - lo1) / voxel))
+            i1 = int(math.floor((p1 - lo1) / size))
             if i1 < 0 or i1 >= g:
                 continue
-            i2 = int(math.floor((p2 - lo2) / voxel))
+            i2 = int(math.floor((p2 - lo2) / size))
             if i2 < 0 or i2 >= g:
                 continue
-            distance = skip_distance[i0, i1, i2]
+            distance = skip_tables[base + (i0 * padded + i1) * padded + i2]
             if distance == 0:
                 v0 = i0
                 v1 = i1
@@ -146,9 +155,9 @@ def march_occupancy(
             continue
 
         # -- exact entry point into the hit voxel (slab test on its AABB) --
-        vlo0 = lo0 + v0 * voxel
-        vlo1 = lo1 + v1 * voxel
-        vlo2 = lo2 + v2 * voxel
+        vlo0 = lo0 + v0 * size
+        vlo1 = lo1 + v1 * size
+        vlo2 = lo2 + v2 * size
 
         best_t = -math.inf
         entry_axis = 0
@@ -170,7 +179,7 @@ def march_occupancy(
             else:
                 inv = math.copysign(math.inf, d_axis)
             a = (vlo_axis - o_axis) * inv
-            b = (vlo_axis + voxel - o_axis) * inv
+            b = (vlo_axis + size - o_axis) * inv
             # np.minimum semantics: NaN (0 * inf on a face-touching,
             # axis-parallel ray) propagates, then non-finite entries are
             # replaced by -inf exactly as the reference does.
@@ -194,10 +203,14 @@ def march_occupancy(
         sign_bit = 0 if d_axis > 0.0 else 1  # entry sign -1 for d > 0
 
         # -- face lookup: exact (voxel, axis, sign) key, voxel fallback ----
-        voxel_key = (v0 * g + v1) * g + v2
+        # Both binary searches stay inside the grid's slice of the
+        # concatenated tables (numpy_ref clips to it the same way).
+        first = face_start[grid]
+        last = face_start[grid + 1] - 1
+        voxel_key = key_base[grid] + (v0 * g + v1) * g + v2
         face_key = voxel_key * 6 + entry_axis * 2 + sign_bit
-        lo_i = 0
-        hi_i = num_faces
+        lo_i = first
+        hi_i = last + 1
         while lo_i < hi_i:
             mid = (lo_i + hi_i) // 2
             if face_keys[mid] < face_key:
@@ -205,13 +218,13 @@ def march_occupancy(
             else:
                 hi_i = mid
         pos = lo_i
-        if pos > num_faces - 1:
-            pos = num_faces - 1
+        if pos > last:
+            pos = last
         if face_keys[pos] == face_key:
             face_index = face_order[pos]
         else:
-            lo_i = 0
-            hi_i = num_faces
+            lo_i = first
+            hi_i = last + 1
             while lo_i < hi_i:
                 mid = (lo_i + hi_i) // 2
                 if voxel_keys[mid] < voxel_key:
@@ -219,17 +232,17 @@ def march_occupancy(
                 else:
                     hi_i = mid
             pos = lo_i
-            if pos > num_faces - 1:
-                pos = num_faces - 1
+            if pos > last:
+                pos = last
             face_index = face_order[pos]
 
         # -- in-face texture coordinates from the entry point --------------
         e0 = o0 + t_entry * d0
         e1 = o1 + t_entry * d1
         e2 = o2 + t_entry * d2
-        l0 = (e0 - vlo0) / voxel
-        l1 = (e1 - vlo1) / voxel
-        l2 = (e2 - vlo2) / voxel
+        l0 = (e0 - vlo0) / size
+        l1 = (e1 - vlo1) / size
+        l2 = (e2 - vlo2) / size
         # The tangent table of repro.baking.meshing (_TANGENT_AXES), as
         # branches: u spans TANGENT_U[axis], v spans TANGENT_V[axis].
         if entry_axis == 0:

@@ -17,6 +17,8 @@ pins (``tests/test_render_engine.py``) keep holding bit for bit.
 Every kernel is a narrow array-in/array-out function: no engine state, no
 callables, no I/O — the contract that lets the same signature be compiled
 to native loops and shipped through forked/spawned workers.
+:func:`stack_grids` packs per-grid tables into the multi-grid marcher's
+array arguments, for every backend.
 """
 
 from __future__ import annotations
@@ -41,28 +43,106 @@ TANGENT_V = np.array([_TANGENT_AXES[axis][1] for axis in range(3)], dtype=np.int
 SKIP_EPSILON = 0.01
 
 
+def stack_grids(grids) -> tuple:
+    """Pack per-grid tables into the multi-grid marcher's grid arguments.
+
+    Args:
+        grids: one ``(grid_lo, voxel, step, skip_distance, face_tables)``
+            tuple per grid: the world position of the grid's minimum
+            corner, its voxel edge, its marching step, its
+            :attr:`repro.baking.voxelize.VoxelGrid.skip_distance` table and
+            its ``(face_keys, face_order, voxel_keys)`` lookup tables
+            (:attr:`repro.baking.meshing.QuadFaceSet.lookup_keys`,
+            non-empty).
+
+    Returns:
+        The arguments of :func:`march_occupancy` after ``grid_index``:
+        ``(grid_lo, voxel, step, resolution, skip_tables, skip_base,
+        face_keys, face_order, voxel_keys, key_base, face_start)``.  Each
+        skip table is padded by one cell per side (value ``1``: empty,
+        with no claim about its neighbours), flattened and concatenated at
+        the tables' own unsigned dtype; ``skip_base[j]`` is where grid
+        ``j``'s padded table starts.  The face tables are concatenated in
+        grid order, grid ``j``'s voxel keys shifted by ``key_base[j]`` (the
+        cell count of the grids before it) and its face keys by ``6 *
+        key_base[j]``, so the concatenated keys stay ascending and no two
+        grids share a key; ``face_start[j]:face_start[j + 1]`` is grid
+        ``j``'s slice.
+    """
+    grid_lo, voxel, step, resolution = [], [], [], []
+    tables, face_keys, face_order, voxel_keys = [], [], [], []
+    skip_base, key_base, face_start = [0], [0], [0]
+    for lo, size, ray_step, skip_distance, (keys, order, cell_keys) in grids:
+        g = int(skip_distance.shape[0])
+        padded = np.ones((g + 2,) * 3, dtype=skip_distance.dtype)
+        padded[1:-1, 1:-1, 1:-1] = skip_distance
+        grid_lo.append(lo)
+        voxel.append(size)
+        step.append(ray_step)
+        resolution.append(g)
+        tables.append(padded.ravel())
+        face_keys.append(keys + 6 * key_base[-1])
+        face_order.append(order)
+        voxel_keys.append(cell_keys + key_base[-1])
+        skip_base.append(skip_base[-1] + padded.size)
+        key_base.append(key_base[-1] + g**3)
+        face_start.append(face_start[-1] + len(keys))
+    return (
+        np.array(grid_lo, dtype=np.float64).reshape(-1, 3),
+        np.array(voxel, dtype=np.float64),
+        np.array(step, dtype=np.float64),
+        np.array(resolution, dtype=np.int64),
+        np.concatenate(tables),
+        np.array(skip_base[:-1], dtype=np.int64),
+        np.concatenate(face_keys).astype(np.int64, copy=False),
+        np.concatenate(face_order).astype(np.int64, copy=False),
+        np.concatenate(voxel_keys).astype(np.int64, copy=False),
+        np.array(key_base[:-1], dtype=np.int64),
+        np.array(face_start, dtype=np.int64),
+    )
+
+
+#: Rows of the numpy marcher's stacked per-ray state (one column per ray).
+_ORIGIN, _DIRECTION, _LO = slice(0, 3), slice(3, 6), slice(6, 9)
+_VOXEL, _OUTSIDE, _PADDED, _BASE, _NEAR, _FAR, _STEP, _SCALE, _K, _ROW = range(9, 19)
+_STATE_ROWS = 19
+
+#: The numpy marcher compacts its state only once this share of the rows
+#: has retired: retired rows stay invalid (their ladder is monotone, and a
+#: hit row's ``t_far`` is set to ``-inf``), so carrying them a few rounds
+#: changes no output and saves a copy of every column per round.
+COMPACT_SHARE = 0.25
+
+
 def march_occupancy(
     origins: np.ndarray,
     directions: np.ndarray,
     t_near: np.ndarray,
     t_far: np.ndarray,
+    grid_index: np.ndarray,
     grid_lo: np.ndarray,
-    voxel: float,
-    step: float,
-    resolution: int,
-    skip_distance: np.ndarray,
+    voxel: np.ndarray,
+    step: np.ndarray,
+    resolution: np.ndarray,
+    skip_tables: np.ndarray,
+    skip_base: np.ndarray,
     face_keys: np.ndarray,
     face_order: np.ndarray,
     voxel_keys: np.ndarray,
+    key_base: np.ndarray,
+    face_start: np.ndarray,
 ) -> tuple:
-    """First-hit occupancy-grid march of one chunk of candidate rays.
+    """First-hit occupancy march of one chunk of (ray, grid) candidates.
 
-    Finds, per ray, the first sample of the ladder ``t = t_near + (k +
-    0.5) * step`` (``t <= t_far``) that lands in an occupied voxel (skip
-    distance ``0``), computes the exact entry point into its AABB and
-    resolves the ``(voxel, axis, sign)`` face key against the sorted face
-    tables (interior entries fall back to any face of the voxel).  Texture
-    sampling stays with the caller — the kernel returns in-face
+    Each row is one ray marched through one grid (``grid_index``); the rows
+    of every grid of a frame share one call, so the per-round fixed cost is
+    paid once per chunk, not once per grid.  Per row, finds the first
+    sample of the ladder ``t = t_near + (k + 0.5) * step`` (``t <=
+    t_far``) that lands in an occupied voxel (skip distance ``0``) of the
+    row's grid, computes the exact entry point into its AABB and resolves
+    the ``(voxel, axis, sign)`` face key against that grid's slice of the
+    face tables (interior entries fall back to any face of the voxel).
+    Texture sampling stays with the caller — the kernel returns in-face
     coordinates, not colours.
 
     Empty space is skipped with the chessboard distance table: from an
@@ -71,96 +151,127 @@ def march_occupancy(
     ladder samples provably land in empty or out-of-grid cells, so the
     ray jumps over them.  The first occupied sample is the one the full
     ladder finds, so every output is bit-identical to evaluating every
-    sample.
+    sample, and each row's outputs are those of a call holding its grid
+    alone.
 
     Args:
-        origins / directions: ``(N, 3)`` float64 candidate rays.
+        origins / directions: ``(N, 3)`` float64 ray of each row.
         t_near / t_far: ``(N,)`` clamped AABB entry/exit distances
-            (``t_far > t_near`` for every candidate).
-        grid_lo: ``(3,)`` world position of the grid's minimum corner.
-        voxel: voxel edge length; ``step``: marching step (``voxel *
-            step_scale``).
-        resolution: grid resolution ``g``.
-        skip_distance: ``(g, g, g)`` unsigned chessboard distance of each
-            cell to the nearest occupied cell, ``0`` exactly at occupied
-            cells: :attr:`repro.baking.voxelize.VoxelGrid.skip_distance`.
-            It is the grid's occupancy and its skip table in one array.
-        face_keys / face_order / voxel_keys: the sorted face-lookup tables
-            of :attr:`repro.baking.meshing.QuadFaceSet.lookup_keys`.
+            (``t_far > t_near`` for every row).
+        grid_index: ``(N,)`` int64 grid of each row.
+        grid_lo: ``(G, 3)`` world position of each grid's minimum corner.
+        voxel / step: ``(G,)`` voxel edge and marching step (``voxel *
+            step_scale``) of each grid.
+        resolution: ``(G,)`` int64 resolution ``g`` of each grid.
+        skip_tables / skip_base / face_keys / face_order / voxel_keys /
+            key_base / face_start: the padded skip tables and shifted face
+            tables of every grid, as :func:`stack_grids` packs them.  A
+            skip table is the grid's occupancy and its skip table in one
+            array.
 
     Returns:
         ``(hit_rows, face_indices, u, v, t_entry)`` — ascending chunk-local
-        hit rows, the face index and in-face coordinates to sample, and the
-        entry distance.  Empty int64/float64 arrays when nothing hit.
+        hit rows, the face index (within the row's grid) and in-face
+        coordinates to sample, and the entry distance.  Empty int64/float64
+        arrays when nothing hit.
     """
     num_rays = origins.shape[0]
-    g = int(resolution)
-
-    span = float(np.max(t_far - t_near)) if num_rays else 0.0
-    num_steps = max(int(np.ceil(span / step)) + 1, 1)
-
-    # The skip table padded by one out-of-grid cell per side, flattened:
-    # clipping a sample's cell index into the padded range replaces the
-    # inside-the-grid test.  Border cells read distance 1: empty, with no
-    # claim about their neighbours (a zero-length jump).
-    padded_g = g + 2
-    table = np.ones((padded_g,) * 3, dtype=skip_distance.dtype)
-    table[1:-1, 1:-1, 1:-1] = skip_distance
-    table = table.ravel()
-    interior_offset = padded_g * padded_g + padded_g + 1
-    # Jump reach in voxels by distance, max(d - 1 - SKIP_EPSILON, 0), for
-    # every distance a table can hold (at most g): one gather per round.
-    reach = np.maximum(np.arange(g + 1) - 1.0 - SKIP_EPSILON, 0.0)
+    grid_index = np.asarray(grid_index, dtype=np.intp)
+    ray_voxel = voxel[grid_index]
+    ray_step = step[grid_index]
+    ray_g = resolution[grid_index]
 
     # Ladder samples a ray may skip per voxel of reach.  Zero-direction
-    # rays never skip; the cap keeps the jump finite (a smaller jump is
-    # always safe) for rays whose largest component is tiny.
-    max_component = np.abs(directions).max(axis=1)
+    # rays never skip; the cap (the ray's ladder length, at least 1, so a
+    # jump never goes backwards and a retired row stays retired) keeps the
+    # jump finite (a smaller jump is always safe) for rays whose largest
+    # component is tiny.
+    max_component = np.maximum(
+        np.maximum(np.abs(directions[:, 0]), np.abs(directions[:, 1])),
+        np.abs(directions[:, 2]),
+    )
     with np.errstate(divide="ignore"):
         per_voxel = np.where(
-            max_component > 0.0, voxel / (step * max_component), 0.0
+            max_component > 0.0, ray_voxel / (ray_step * max_component), 0.0
         )
-    per_voxel = np.minimum(per_voxel, float(num_steps))
+    ladder = np.maximum(np.ceil((t_far - t_near) / ray_step) + 1.0, 1.0)
+    per_voxel = np.minimum(per_voxel, ladder)
+    # Jump reach in voxels by distance, max(d - 1 - SKIP_EPSILON, 0), for
+    # every distance a table can hold (at most its g): one gather a round.
+    reach = np.maximum(np.arange(resolution.max() + 1) - 1.0 - SKIP_EPSILON, 0.0)
 
-    # One ladder sample per active ray per round, each at its own index
-    # ``k`` (held as float64: exact for these magnitudes, and ``k + 0.5``
-    # then matches the int-to-float ladder bit for bit).  A ray retires
-    # at its first occupied sample or its first sample beyond ``t_far``;
-    # the ladder is monotone in ``k``, so no later sample could be valid.
-    # Per-ray state is kept per axis and compacted as rays retire.
+    # One ladder sample per live row per round, each at its own index
+    # ``k`` (the state holds ``k + 0.5`` as float64: exact for these
+    # magnitudes, so it matches the int-to-float ladder bit for bit).  A
+    # row retires at its first occupied sample or its first sample beyond
+    # ``t_far``; the ladder is monotone in ``k``, so no later sample could
+    # be valid.
+    # Cells are clipped into the padded table (clipping replaces the
+    # inside-the-grid test: border cells read distance 1, a zero-length
+    # jump), and the flat index carries the grid's table base.  All
+    # per-row state is one stacked float64 array (row ids, cells and table
+    # offsets are integers far below 2**53, so exact).
+    padded = ray_g + 2
+    state = np.empty((_STATE_ROWS, num_rays))
+    state[_ORIGIN] = origins.T
+    state[_DIRECTION] = directions.T
+    state[_LO] = grid_lo[grid_index].T
+    state[_VOXEL] = ray_voxel
+    state[_OUTSIDE] = ray_g
+    state[_PADDED] = padded
+    state[_BASE] = skip_base[grid_index] + (padded * padded + padded + 1)
+    state[_NEAR] = t_near
+    state[_FAR] = t_far
+    state[_STEP] = ray_step
+    state[_SCALE] = per_voxel
+    state[_K] = 0.5
+    state[_ROW] = np.arange(num_rays)
     hit = np.zeros(num_rays, dtype=bool)
     hit_voxels = np.empty((num_rays, 3), dtype=np.int64)
-    rows = np.arange(num_rays)
-    ks = np.zeros(num_rays)
-    state = [
-        np.ascontiguousarray(column)
-        for column in (*origins.T, *directions.T, t_near, t_far, per_voxel)
-    ]
-    lo0, lo1, lo2 = (float(value) for value in grid_lo)
-    outside = float(g)
-    while rows.size:
-        ox, oy, oz, dx, dy, dz, near, far, scale = state
-        t = near + (ks + 0.5) * step
-        valid = t <= far
-        cells = []
-        for o_axis, d_axis, lo_axis in ((ox, dx, lo0), (oy, dy, lo1), (oz, dz, lo2)):
-            cell = np.floor((o_axis + t * d_axis - lo_axis) / voxel)
-            cells.append(np.clip(cell, -1.0, outside, out=cell))
-        cx, cy, cz = cells
-        flat = ((cx * padded_g + cy) * padded_g + cz).astype(np.intp)
-        distance = table[flat + interior_offset]
-        occupied = (distance == 0) & valid
+    # Per-round scratch, reused as the state shrinks (views of the first
+    # ``n`` columns), so a round allocates nothing of the state's size.
+    cells_buf = np.empty((3, num_rays))
+    t_buf, flat_buf, jump_buf = np.empty((3, num_rays))
+    index_buf = np.empty(num_rays, dtype=np.intp)
+    distance_buf = np.empty(num_rays, dtype=skip_tables.dtype)
+    while state.shape[1]:
+        n = state.shape[1]
+        t = np.multiply(state[_K], state[_STEP], out=t_buf[:n])
+        t += state[_NEAR]
+        valid = t <= state[_FAR]
+        cells = np.multiply(t, state[_DIRECTION], out=cells_buf[:, :n])
+        cells += state[_ORIGIN]
+        cells -= state[_LO]
+        cells /= state[_VOXEL]
+        np.floor(cells, out=cells)
+        np.maximum(cells, -1.0, out=cells)
+        np.minimum(cells, state[_OUTSIDE], out=cells)
+        flat = np.multiply(cells[0], state[_PADDED], out=flat_buf[:n])
+        flat += cells[1]
+        flat *= state[_PADDED]
+        flat += cells[2]
+        flat += state[_BASE]
+        index = index_buf[:n]
+        index[...] = flat
+        distance = skip_tables.take(index, out=distance_buf[:n])
+        occupied = distance == 0
+        occupied &= valid
         if occupied.any():
-            newly_hit = rows[occupied]
+            newly_hit = state[_ROW, occupied].astype(np.intp)
             hit[newly_hit] = True
-            for axis, cell in enumerate(cells):
-                hit_voxels[newly_hit, axis] = cell[occupied]
-        ks += 1.0 + np.floor(reach[distance] * scale)
-        keep = valid & ~occupied
-        if not keep.all():
-            rows = rows[keep]
-            ks = ks[keep]
-            state = [column[keep] for column in state]
+            hit_voxels[newly_hit] = cells[:, occupied].T
+            state[_FAR, occupied] = -np.inf
+        jump = reach.take(distance, out=jump_buf[:n])
+        jump *= state[_SCALE]
+        np.floor(jump, out=jump)
+        jump += 1.0
+        state[_K] += jump
+        live = valid > occupied
+        live_count = np.count_nonzero(live)
+        if live_count == 0:
+            break
+        if live_count <= (1.0 - COMPACT_SHARE) * n:
+            state = state[:, live]
 
     hit_rows = np.flatnonzero(hit)
     if hit_rows.size == 0:
@@ -168,10 +279,12 @@ def march_occupancy(
         empty_f = np.empty(0, dtype=np.float64)
         return empty_i, empty_i.copy(), empty_f, empty_f.copy(), empty_f.copy()
     hit_voxels = hit_voxels[hit_rows]
+    hit_grids = grid_index[hit_rows]
+    hit_size = ray_voxel[hit_rows, None]
 
     # Exact entry point into the hit voxel (slab test on its AABB).
-    voxel_lo = grid_lo + hit_voxels * voxel
-    voxel_hi = voxel_lo + voxel
+    voxel_lo = grid_lo[hit_grids] + hit_voxels * hit_size
+    voxel_hi = voxel_lo + hit_size
     sub_origins = origins[hit_rows]
     sub_dirs = directions[hit_rows]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,20 +300,29 @@ def march_occupancy(
     entry_sign = np.where(sub_dirs[np.arange(len(hit_rows)), entry_axis] > 0, -1, 1)
 
     # Face lookup: exact (voxel, axis, sign) key, falling back to any face
-    # of the voxel when marching entered through an interior face.
+    # of the voxel when marching entered through an interior face.  Both
+    # searches run over the concatenated tables and are clipped to the
+    # row's grid slice, so a key past the end of grid j's table resolves
+    # to grid j's last face, never to the next grid's first.
+    g = resolution[hit_grids]
     voxel_key = (hit_voxels[:, 0] * g + hit_voxels[:, 1]) * g + hit_voxels[:, 2]
+    voxel_key += key_base[hit_grids]
     face_key = voxel_key * 6 + entry_axis * 2 + (entry_sign > 0)
-    pos = np.searchsorted(face_keys, face_key)
-    pos = np.clip(pos, 0, len(face_keys) - 1)
+    first = face_start[hit_grids]
+    last = face_start[hit_grids + 1] - 1
+    pos = np.minimum(np.maximum(np.searchsorted(face_keys, face_key), first), last)
     found = face_keys[pos] == face_key
     face_indices = face_order[pos]
     if not found.all():
-        fallback_pos = np.searchsorted(voxel_keys, voxel_key[~found])
-        fallback_pos = np.clip(fallback_pos, 0, len(voxel_keys) - 1)
-        face_indices[~found] = face_order[fallback_pos]
+        missing = ~found
+        fallback_pos = np.searchsorted(voxel_keys, voxel_key[missing])
+        fallback_pos = np.minimum(
+            np.maximum(fallback_pos, first[missing]), last[missing]
+        )
+        face_indices[missing] = face_order[fallback_pos]
 
     # In-face texture coordinates from the entry point.
-    local = (entry_points - voxel_lo) / voxel
+    local = (entry_points - voxel_lo) / hit_size
     tangent_u = TANGENT_U[entry_axis]
     tangent_v = TANGENT_V[entry_axis]
     rows = np.arange(len(hit_rows))

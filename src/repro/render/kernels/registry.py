@@ -196,14 +196,17 @@ def warm_up(name=None) -> KernelSet:
     directions = np.array([[1.0, 0.0, 0.0]])
     t_near = np.array([0.5])
     t_far = np.array([2.5])
-    grid_lo = np.zeros(3)
-    skip_distance = np.zeros((1, 1, 1), dtype=np.uint8)
-    face_keys = np.arange(6, dtype=np.int64)
-    face_order = np.zeros(6, dtype=np.int64)
-    voxel_keys = np.zeros(6, dtype=np.int64)
+    face_tables = (
+        np.arange(6, dtype=np.int64),
+        np.zeros(6, dtype=np.int64),
+        np.zeros(6, dtype=np.int64),
+    )
+    grid_args = _numpy_ref.stack_grids(
+        [(np.zeros(3), 1.0, 0.5, np.zeros((1, 1, 1), dtype=np.uint8), face_tables)]
+    )
     kernels.march_occupancy(
-        origins, directions, t_near, t_far, grid_lo, 1.0, 0.5, 1,
-        skip_distance, face_keys, face_order, voxel_keys,
+        origins, directions, t_near, t_far, np.zeros(1, dtype=np.int64),
+        *grid_args,
     )
 
     sdf = np.array([[0.25, -0.25]])

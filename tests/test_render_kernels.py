@@ -17,9 +17,11 @@ proves the *algorithms* equivalent even on machines without numba; when
 numba is installed (the CI kernel leg) the identical assertions run against
 the compiled functions too, pinning the codegen (``fastmath=False``).
 
-The marcher skips empty space with a chessboard distance table, so both
-the numpy reference and the loops are also pinned to a brute-force oracle
-that walks every ladder sample (``TestMarchAgainstOracle``).
+The marcher skips empty space with a chessboard distance table and marches
+the rows of several grids in one call, so both the numpy reference and the
+loops are also pinned to a brute-force oracle that walks every ladder
+sample of each row's grid (``TestMarchAgainstOracle``), and a row's outputs
+to those of a call holding its grid alone.
 
 Engine-level tests then pin that a full render is bit-identical across
 kernels for the exact-tier paths (baked marching, sphere tracing) and
@@ -39,7 +41,7 @@ from repro.core.pipeline import NeRFlexPipeline, PipelineConfig
 from repro.device.models import DeviceProfile
 from repro.exec.backends import SerialBackend
 from repro.render import RenderEngine
-from repro.render.engine import _ray_aabb
+from repro.render.engine import _candidate_pairs
 from repro.render.kernels import (
     KERNELS,
     NUMBA_AVAILABLE,
@@ -54,7 +56,9 @@ from repro.render.kernels import (
 )
 from repro.render.kernels import numpy_ref
 from repro.render.kernels.loops import KERNEL_FUNCTION_NAMES
+from repro.render.kernels.numpy_ref import stack_grids
 from repro.scenes.cameras import camera_rays, orbit_cameras
+from tests._aabb_oracle import ray_aabb
 
 #: Backends pinned against the numpy reference in this environment.  The
 #: uncompiled loops always run; numba joins on the CI leg that installs it.
@@ -85,11 +89,66 @@ def baked_models(two_object_scene):
     )
 
 
+def model_grid(model, step_scale=0.5):
+    """A baked sub-model's entry for :func:`stack_grids` / :func:`march_inputs`."""
+    grid = model.grid
+    voxel = float(grid.voxel_size)
+    return {
+        "grid_lo": np.asarray(grid.bounds_min, dtype=np.float64),
+        "voxel": voxel,
+        "step": voxel * step_scale,
+        "skip_distance": grid.skip_distance,
+        "face_tables": model.faces.lookup_keys,
+    }
+
+
+def march_inputs(grids, origins, directions):
+    """Kernel inputs marching every ray through every grid it enters.
+
+    The (ray, grid) candidate pairs are concatenated grid by grid, as
+    ``RenderEngine.render_baked_rays`` orders them; ``case["rays"]`` maps
+    each row back to its ray.
+    """
+    lo = np.array([grid["grid_lo"] for grid in grids], dtype=np.float64)
+    hi = lo + np.array(
+        [grid["skip_distance"].shape[0] * grid["voxel"] for grid in grids]
+    )[:, None]
+    grid_index, rays, t_near, t_far = _candidate_pairs(origins, directions, lo, hi)
+    return {
+        "origins": origins[rays],
+        "directions": directions[rays],
+        "t_near": t_near,
+        "t_far": t_far,
+        "grid_index": grid_index,
+        "rays": rays,
+        "grids": grids,
+        "grid_args": stack_grids(grid_entry(grid) for grid in grids),
+    }
+
+
+def grid_entry(grid):
+    """One grid's ``stack_grids`` tuple."""
+    return (grid["grid_lo"], grid["voxel"], grid["step"],
+            grid["skip_distance"], grid["face_tables"])
+
+
+def single_grid_case(case, grid):
+    """Grid ``grid``'s rows of a multi-grid case, marched through it alone."""
+    rows = case["grid_index"] == grid
+    subset = {
+        key: case[key][rows]
+        for key in ("origins", "directions", "t_near", "t_far", "rays")
+    }
+    subset["grid_index"] = np.zeros(np.count_nonzero(rows), dtype=np.int64)
+    subset["grids"] = [case["grids"][grid]]
+    subset["grid_args"] = stack_grids([grid_entry(case["grids"][grid])])
+    return subset
+
+
 @pytest.fixture(scope="module")
 def march_case(baked_models):
-    """Real marching inputs: camera rays against a baked sub-model."""
-    model = baked_models.submodels[0]
-    grid = model.grid
+    """Real marching inputs: camera rays against both baked sub-models."""
+    grid = baked_models.submodels[0].grid
     camera = orbit_cameras(
         np.asarray(grid.bounds_min) + 0.5 * (
             np.asarray(grid.bounds_max) - np.asarray(grid.bounds_min)
@@ -100,33 +159,19 @@ def march_case(baked_models):
         height=24,
     )[0]
     origins, directions = camera_rays(camera)
-    t_near, t_far = _ray_aabb(origins, directions, grid.bounds_min, grid.bounds_max)
-    t_near = np.maximum(t_near, 0.0)
-    candidates = np.flatnonzero(t_far > t_near)
-    assert candidates.size > 50  # the case must actually march
-    face_keys, face_order, voxel_keys = model.faces.lookup_keys
-    return {
-        "origins": origins[candidates],
-        "directions": directions[candidates],
-        "t_near": t_near[candidates],
-        "t_far": t_far[candidates],
-        "grid_lo": np.asarray(grid.bounds_min, dtype=np.float64),
-        "voxel": float(grid.voxel_size),
-        "step": float(grid.voxel_size) * 0.5,
-        "resolution": int(grid.resolution),
-        "skip_distance": grid.skip_distance,
-        "face_keys": face_keys,
-        "face_order": face_order,
-        "voxel_keys": voxel_keys,
-    }
+    case = march_inputs(
+        [model_grid(model) for model in baked_models.submodels],
+        origins, directions,
+    )
+    assert case["origins"].shape[0] > 50  # the case must actually march
+    assert set(case["grid_index"].tolist()) == {0, 1}
+    return case
 
 
 def march_with(kernels, case):
     return kernels.march_occupancy(
         case["origins"], case["directions"], case["t_near"], case["t_far"],
-        case["grid_lo"], case["voxel"], case["step"], case["resolution"],
-        case["skip_distance"], case["face_keys"], case["face_order"],
-        case["voxel_keys"],
+        case["grid_index"], *case["grid_args"],
     )
 
 
@@ -228,18 +273,12 @@ class TestExactTierParity:
         signs = rng.choice([-1, 1], occupied.shape[0])
         face_key = voxel_key * 6 + axes * 2 + (signs > 0)
         order = np.argsort(face_key, kind="stable").astype(np.int64)
-        case = {
-            "grid_lo": np.array([-1.0, -0.5, 0.25]),
-            "voxel": 0.3,
-            "step": 0.15,
-            "resolution": g,
-            "skip_distance": skip_table(occupancy),
-            "face_keys": face_key[order].astype(np.int64),
-            "face_order": order,
-            "voxel_keys": voxel_key[order].astype(np.int64),
-        }
+        grid_lo = np.array([-1.0, -0.5, 0.25])
+        face_tables = (
+            face_key[order].astype(np.int64), order, voxel_key[order].astype(np.int64)
+        )
         num_rays = 400
-        origins = rng.normal(scale=1.5, size=(num_rays, 3)) + case["grid_lo"]
+        origins = rng.normal(scale=1.5, size=(num_rays, 3)) + grid_lo
         directions = rng.normal(size=(num_rays, 3))
         # A quarter of the rays are axis-parallel (exact zero components).
         parallel = rng.random(num_rays) < 0.25
@@ -251,9 +290,14 @@ class TestExactTierParity:
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         t_near = np.abs(rng.normal(scale=0.2, size=num_rays))
         t_far = t_near + np.abs(rng.normal(scale=4.0, size=num_rays)) + 0.1
-        case.update(
-            origins=origins, directions=directions, t_near=t_near, t_far=t_far
-        )
+        case = {
+            "origins": origins, "directions": directions,
+            "t_near": t_near, "t_far": t_far,
+            "grid_index": np.zeros(num_rays, dtype=np.int64),
+            "grid_args": stack_grids(
+                [(grid_lo, 0.3, 0.15, skip_table(occupancy), face_tables)]
+            ),
+        }
         reference = march_with(get_kernels("numpy"), case)
         candidate = march_with(get_kernels(backend), case)
         assert reference[0].size > 0
@@ -265,8 +309,9 @@ class TestExactTierParity:
         keys = np.zeros(1, dtype=np.int64)
         out = get_kernels(backend).march_occupancy(
             np.array([[-2.0, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]]),
-            np.array([0.0]), np.array([5.0]),
-            np.zeros(3), 1.0, 0.5, 3, skip_table(occupancy), keys, keys, keys,
+            np.array([0.0]), np.array([5.0]), np.zeros(1, dtype=np.int64),
+            *stack_grids([(np.zeros(3), 1.0, 0.5, skip_table(occupancy),
+                           (keys, keys, keys))]),
         )
         for array, dtype in zip(out, (np.int64, np.int64, np.float64,
                                       np.float64, np.float64)):
@@ -278,7 +323,9 @@ class TestExactTierParity:
         occupancy = np.ones((3, 3, 3), dtype=bool)
         out = get_kernels(backend).march_occupancy(
             np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0),
-            np.zeros(3), 1.0, 0.5, 3, skip_table(occupancy), keys, keys, keys,
+            np.empty(0, dtype=np.int64),
+            *stack_grids([(np.zeros(3), 1.0, 0.5, skip_table(occupancy),
+                           (keys, keys, keys))]),
         )
         assert all(array.size == 0 for array in out)
 
@@ -325,19 +372,21 @@ class TestExactTierParity:
 def first_occupied_oracle(case):
     """Test-only brute force: walk every ladder sample, keep the first hit.
 
-    Returns ``{row: (ix, iy, iz)}`` for every ray that hits.
+    Each row walks its own grid.  Returns ``{row: (ix, iy, iz)}`` for every
+    row that hits.
     """
-    occupancy = case["occupancy"]
-    g = occupancy.shape[0]
     hits = {}
     for row in range(case["origins"].shape[0]):
+        grid = case["grids"][case["grid_index"][row]]
+        occupancy = grid["occupancy"]
+        g = occupancy.shape[0]
         k = 0
         while True:
-            t = case["t_near"][row] + (k + 0.5) * case["step"]
+            t = case["t_near"][row] + (k + 0.5) * grid["step"]
             if t > case["t_far"][row]:
                 break
             point = case["origins"][row] + t * case["directions"][row]
-            cell = np.floor((point - case["grid_lo"]) / case["voxel"]).astype(np.int64)
+            cell = np.floor((point - grid["grid_lo"]) / grid["voxel"]).astype(np.int64)
             if np.all((cell >= 0) & (cell < g)) and occupancy[tuple(cell)]:
                 hits[row] = tuple(int(c) for c in cell)
                 break
@@ -345,15 +394,15 @@ def first_occupied_oracle(case):
     return hits
 
 
-def oracle_case(occupancy, grid_lo, voxel, origins, directions, step_scale):
-    """Marcher inputs for a grid whose every occupied voxel has all six faces.
+def full_face_tables(occupancy):
+    """Face tables giving every occupied voxel all six faces.
 
-    With the full face table the exact ``(voxel, axis, sign)`` key always
+    With the full table the exact ``(voxel, axis, sign)`` key always
     resolves, so a returned face index names the hit voxel
-    (``case["face_voxels"]``) — which is what the oracle predicts.
+    (``face_voxels[face]``) — which is what the oracle predicts.  Returns
+    ``(face_tables, face_voxels)``.
     """
     g = occupancy.shape[0]
-    grid_lo = np.asarray(grid_lo, dtype=np.float64)
     occupied = np.argwhere(occupancy).astype(np.int64)
     face_voxels = np.repeat(occupied, 6, axis=0)
     axes = np.tile(np.repeat(np.arange(3), 2), occupied.shape[0])
@@ -363,23 +412,20 @@ def oracle_case(occupancy, grid_lo, voxel, origins, directions, step_scale):
     order = np.argsort(face_key, kind="stable").astype(np.int64)
     if order.size == 0:  # the kernels need a non-empty table to search
         face_key = voxel_key = order = np.zeros(1, dtype=np.int64)
-    t_near, t_far = _ray_aabb(origins, directions, grid_lo, grid_lo + g * voxel)
-    t_near = np.maximum(t_near, 0.0)
-    candidates = np.flatnonzero(t_far > t_near)
+    tables = (face_key[order].astype(np.int64), order, voxel_key[order].astype(np.int64))
+    return tables, face_voxels
+
+
+def oracle_grid(occupancy, grid_lo, voxel, step_scale):
+    """One grid of an oracle case, with its full face tables."""
+    face_tables, face_voxels = full_face_tables(occupancy)
     return {
-        "origins": origins[candidates],
-        "directions": directions[candidates],
-        "t_near": t_near[candidates],
-        "t_far": t_far[candidates],
-        "grid_lo": grid_lo,
+        "grid_lo": np.asarray(grid_lo, dtype=np.float64),
         "voxel": float(voxel),
         "step": float(voxel) * step_scale,
-        "resolution": g,
         "occupancy": occupancy,
         "skip_distance": skip_table(occupancy),
-        "face_keys": face_key[order].astype(np.int64),
-        "face_order": order,
-        "voxel_keys": voxel_key[order].astype(np.int64),
+        "face_tables": face_tables,
         "face_voxels": face_voxels,
     }
 
@@ -389,7 +435,10 @@ def assert_matches_oracle(backend, case):
     expected = first_occupied_oracle(case)
     out = march_with(get_kernels(backend), case)
     got = {
-        int(row): tuple(int(c) for c in case["face_voxels"][face])
+        int(row): tuple(
+            int(c)
+            for c in case["grids"][case["grid_index"][row]]["face_voxels"][face]
+        )
         for row, face in zip(out[0], out[1])
     }
     assert got == expected
@@ -397,6 +446,17 @@ def assert_matches_oracle(backend, case):
         for ref, cand in zip(march_with(get_kernels("numpy"), case), out):
             assert_exact(ref, cand)
     return expected
+
+
+def assert_rows_match_single_grid(backend, case, out, grid):
+    """Grid ``grid``'s rows of a multi-grid call (outputs ``out``) are
+    bit-identical to a call holding that grid alone."""
+    alone = march_with(get_kernels(backend), single_grid_case(case, grid))
+    rows = np.flatnonzero(case["grid_index"] == grid)
+    hits = np.isin(out[0], rows)
+    assert_exact(np.searchsorted(rows, out[0][hits]), alone[0])
+    for fused, single in zip(out[1:], alone[1:]):
+        assert_exact(fused[hits], single)
 
 
 def unit_directions(rng, count, parallel_share=0.25):
@@ -456,7 +516,9 @@ def adversarial_case(name):
         origins -= directions * 3.0 * g * voxel
     else:  # pragma: no cover - parametrize names every case
         raise ValueError(name)
-    return oracle_case(occupancy, grid_lo, voxel, origins, directions, 0.5)
+    return march_inputs(
+        [oracle_grid(occupancy, grid_lo, voxel, 0.5)], origins, directions
+    )
 
 
 ORACLE_BACKENDS = ["numpy", *CANDIDATE_BACKENDS]
@@ -484,9 +546,43 @@ class TestMarchAgainstOracle:
         center = grid_lo + 0.5 * g * voxel
         origins = center + rng.normal(scale=g * voxel, size=(48, 3))
         directions = unit_directions(rng, 48)
-        case = oracle_case(occupancy, grid_lo, voxel, origins, directions,
-                           step_scale)
+        case = march_inputs(
+            [oracle_grid(occupancy, grid_lo, voxel, step_scale)], origins, directions
+        )
         assert_matches_oracle(backend, case)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        resolutions=st.lists(st.integers(1, 12), min_size=3, max_size=4,
+                             unique=True),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_multi_grid(self, backend, resolutions, density, seed):
+        """Grids of different resolutions, voxels and steps in one call.
+
+        Every row matches the oracle on its own grid, and the rows of each
+        grid are bit-identical to a call holding that grid alone.
+        """
+        rng = np.random.default_rng(seed)
+        grids = [
+            oracle_grid(
+                rng.random((g, g, g)) < density**3,
+                rng.normal(scale=0.5, size=3),
+                float(rng.uniform(0.05, 0.3)),
+                float(rng.choice([0.25, 0.5, 1.0])),
+            )
+            for g in resolutions
+        ]
+        center = np.mean([grid["grid_lo"] for grid in grids], axis=0)
+        origins = center + rng.normal(scale=2.0, size=(48, 3))
+        directions = unit_directions(rng, 48)
+        case = march_inputs(grids, origins, directions)
+        assert_matches_oracle(backend, case)
+        out = march_with(get_kernels(backend), case)
+        for grid in range(len(grids)):
+            assert_rows_match_single_grid(backend, case, out, grid)
 
     # Rays lying exactly in a slab plane give 0 * inf = NaN in the AABB
     # tests, which the kernels resolve explicitly; numpy still warns.
@@ -505,6 +601,48 @@ class TestMarchAgainstOracle:
             assert len(hits) == case["origins"].shape[0]
         else:
             assert hits
+
+
+@pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+class TestMultiGridFaceLookup:
+    def test_fallback_stays_inside_its_grid(self, backend):
+        """An occupied voxel with no face at all, past the end of its grid's
+        face table: both searches run off the end of grid j's slice of the
+        concatenated tables, and must clip to grid j's last face, never
+        read the next grid's first.  Checked for a middle and the last grid,
+        bit-identical to single-grid calls."""
+        grids = []
+        for g, lo in ((4, [-3.0, 0.0, 0.0]), (5, [0.0, 0.0, 0.0]), (3, [3.0, 0.0, 0.0])):
+            occupancy = np.zeros((g, g, g), dtype=bool)
+            occupancy[0, 0, 0] = True
+            grid = oracle_grid(occupancy, lo, 0.5, 0.5)
+            # The corner voxel is occupied but carries no face, and its key
+            # sorts after every key of the grid's table.
+            occupancy = occupancy.copy()
+            occupancy[g - 1, g - 1, g - 1] = True
+            grid["occupancy"] = occupancy
+            grid["skip_distance"] = skip_table(occupancy)
+            grids.append(grid)
+        # Rays down -x into each grid's faceless corner voxel, from +x.
+        rng = np.random.default_rng(5)
+        targets = np.array([grid["grid_lo"] + (grid["occupancy"].shape[0] - 0.5) * 0.5
+                            for grid in grids])
+        targets = np.repeat(targets, 8, axis=0) + rng.uniform(-0.2, 0.2, size=(24, 3))
+        origins = targets + np.array([0.9, 0.0, 0.0])
+        directions = np.tile([-1.0, 0.0, 0.0], (24, 1))
+        case = march_inputs(grids, origins, directions)
+        out = march_with(get_kernels(backend), case)
+        hit_grids = case["grid_index"][out[0]]
+        for grid in (1, 2):
+            # Every ray aimed at the grid hits its corner voxel first.
+            corner = hit_grids == grid
+            assert corner.sum() == 8
+            # Grid j's own last face (the face table is the first voxel's
+            # six faces), not the next grid's first one.
+            last_face = grids[grid]["face_tables"][1][-1]
+            np.testing.assert_array_equal(out[1][corner], last_face)
+            assert last_face != grids[(grid + 1) % 3]["face_tables"][1][0]
+            assert_rows_match_single_grid(backend, case, out, grid)
 
 
 def brute_force_chessboard(occupancy):
@@ -716,23 +854,138 @@ class ChunkSpyBackend(SerialBackend):
 
 class TestBakedChunking:
     def test_chunks_cover_candidates_not_rays(self, baked_models, two_object_scene):
-        """Regression pin: the baked marcher chunks only the candidate rays
-        that actually enter the grid, not the full ray batch."""
+        """Regression pin: the baked marcher chunks the concatenated (ray,
+        sub-model) candidate pairs — rays that actually enter a sub-model's
+        grid — not the full ray batch once per sub-model."""
         camera = orbit_cameras(
             two_object_scene.center, radius=2.5 * two_object_scene.extent,
             count=1, width=40, height=40,
         )[0]
         origins, directions = camera_rays(camera)
-        model = baked_models.submodels[0]
-        t_near, t_far = _ray_aabb(
-            origins, directions, model.grid.bounds_min, model.grid.bounds_max
-        )
-        candidates = int(np.count_nonzero(t_far > np.maximum(t_near, 0.0)))
-        num_rays = origins.shape[0]
-        assert 0 < candidates < num_rays  # the distant camera misses a lot
+        per_model = []
+        for model in baked_models.submodels:
+            t_near, t_far = ray_aabb(
+                origins, directions, model.grid.bounds_min, model.grid.bounds_max
+            )
+            per_model.append(int(np.count_nonzero(t_far > np.maximum(t_near, 0.0))))
+        pairs = sum(per_model)
+        # Both grids are entered, and the distant camera misses a lot.
+        assert min(per_model) > 0
+        assert pairs < origins.shape[0]
 
         spy = ChunkSpyBackend()
-        chunk_rays = max(candidates // 3, 1)  # force several chunks
+        chunk_rays = max(pairs // 3, 1)  # force several chunks
         engine = RenderEngine(kernel="numpy", chunk_rays=chunk_rays, backend=spy)
-        engine._march_baked_single(model, origins, directions, step_scale=0.5)
-        assert spy.item_lists == [list(range(0, candidates, chunk_rays))]
+        engine.render_baked_rays(baked_models, origins, directions)
+        assert spy.item_lists == [list(range(0, pairs, chunk_rays))]
+
+
+def sequential_composite(engine, multi, origins, directions):
+    """Each sub-model rendered alone, depth-composited one by one in
+    sub-model order with a strict ``<`` (a tie keeps the lower index)."""
+    best = {
+        "rgb": np.tile(np.ones(3), (origins.shape[0], 1)),
+        "depth": np.full(origins.shape[0], np.inf),
+        "object_ids": np.full(origins.shape[0], -1),
+    }
+    for index, model in enumerate(multi.submodels):
+        alone = engine.render_baked_rays(BakedMultiModel([model]), origins, directions)
+        closer = alone["hit"] & (alone["depth"] < best["depth"])
+        best["rgb"][closer] = alone["rgb"][closer]
+        best["depth"][closer] = alone["depth"][closer]
+        best["object_ids"][closer] = index
+    best["hit"] = best["object_ids"] >= 0
+    return best
+
+
+class TestBakedDepthTies:
+    def test_ties_go_to_the_lower_sub_model(self, two_object_scene):
+        """Two sub-models on one grid report the same entry depth on every
+        ray they both hit; the fused march must composite exactly like the
+        sequential strict-``<`` loop, so the lower index wins each tie."""
+        sphere, cube = two_object_scene.placed
+        first = bake_field(sphere, 14, 2, name="sphere")
+        twin = bake_field(sphere, 14, 1, name="sphere-twin")
+        np.testing.assert_array_equal(first.grid.occupancy, twin.grid.occupancy)
+        np.testing.assert_array_equal(first.grid.origin, twin.grid.origin)
+        multi = BakedMultiModel([bake_field(cube, 14, 2, name="cube"), first, twin])
+        camera = orbit_cameras(
+            two_object_scene.center, radius=1.4 * two_object_scene.extent,
+            count=1, width=32, height=32,
+        )[0]
+        origins, directions = camera_rays(camera)
+        engine = RenderEngine(kernel="numpy", chunk_rays=500)
+
+        fused = engine.render_baked_rays(multi, origins, directions)
+        expected = sequential_composite(engine, multi, origins, directions)
+        assert_buffers_identical(expected, fused, atol=0.0)
+
+        first_alone = engine.render_baked_rays(BakedMultiModel([first]), origins, directions)
+        twin_alone = engine.render_baked_rays(BakedMultiModel([twin]), origins, directions)
+        tied = first_alone["hit"] & (first_alone["depth"] == twin_alone["depth"])
+        assert tied.sum() > 20
+        assert not np.isin(fused["object_ids"][tied], [2]).any()
+        won = tied & (fused["object_ids"] == 1)
+        assert won.sum() > 20
+        # The twin's texture differs, so taking it would change the pixels.
+        assert np.any(first_alone["rgb"][won] != twin_alone["rgb"][won])
+        np.testing.assert_array_equal(fused["rgb"][won], first_alone["rgb"][won])
+
+
+class TestCandidatePairs:
+    """The column-wise slab pass picks the row-wise oracle's candidate
+    pairs, with bit-identical intervals."""
+
+    # Rays lying exactly in a slab plane give 0 * inf = NaN in the oracle,
+    # which numpy reports.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:All-NaN slice encountered:RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_boxes=st.integers(1, 6),
+        num_rays=st.integers(1, 64),
+        parallel_share=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_wise_oracle(self, num_boxes, num_rays, parallel_share, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.normal(size=(num_boxes, 3))
+        hi = lo + rng.uniform(0.1, 2.0, size=(num_boxes, 1))
+        origins = rng.normal(scale=2.0, size=(num_rays, 3))
+        directions = unit_directions(rng, num_rays, parallel_share)
+        # Axis-parallel rays whose origin lies on a slab plane of some box:
+        # the zero component times an infinite inverse is NaN there.
+        for ray in np.flatnonzero(directions == 0.0) // 3:
+            axis = rng.choice(np.flatnonzero(directions[ray] == 0.0))
+            box = rng.integers(num_boxes)
+            origins[ray, axis] = rng.choice([lo[box, axis], hi[box, axis]])
+        expected = []
+        for box in range(num_boxes):
+            t_near, t_far = ray_aabb(origins, directions, lo[box], hi[box])
+            t_near = np.maximum(t_near, 0.0)
+            rays = np.flatnonzero(t_far > t_near)
+            expected.append((np.full(rays.size, box), rays, t_near[rays], t_far[rays]))
+        expected = [np.concatenate(column) for column in zip(*expected)]
+        got = _candidate_pairs(origins, directions, lo, hi)
+        for index in (0, 1):
+            np.testing.assert_array_equal(got[index], expected[index])
+        for interval in (2, 3):
+            assert np.array_equal(
+                got[interval].view(np.uint64), expected[interval].view(np.uint64)
+            )
+
+    def test_slab_plane_rays_are_candidates(self):
+        """The NaN case really occurs: axis-parallel rays lying in the
+        ``x = lo`` and ``x = hi`` slab planes still enter the box."""
+        lo, hi = np.zeros((1, 3)), np.ones((1, 3))
+        origins = np.array([[0.0, 0.5, -1.0], [1.0, 1.0, -1.0]])
+        directions = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / directions
+            t_x = np.stack([(lo[0] - origins) * inv, (hi[0] - origins) * inv])[:, :, 0]
+        assert np.isnan(t_x).any(axis=0).all()
+        boxes, rays, t_near, t_far = _candidate_pairs(origins, directions, lo, hi)
+        np.testing.assert_array_equal(boxes, [0, 0])
+        np.testing.assert_array_equal(rays, [0, 1])
+        np.testing.assert_array_equal(t_near, [1.0, 1.0])
+        np.testing.assert_array_equal(t_far, [2.0, 2.0])
