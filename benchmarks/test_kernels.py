@@ -82,7 +82,7 @@ def synthetic_grid(rng, g, voxel, lo, density):
     return (
         np.asarray(lo, dtype=np.float64), voxel, voxel * 0.5,
         VoxelGrid(np.zeros(3), voxel, g, occupancy).skip_distance,
-        (face_key[order], order, voxel_key[order].astype(np.int64)),
+        (face_key[order], order),
     )
 
 

@@ -56,12 +56,13 @@ class QuadFaceSet:
     def lookup_keys(self) -> tuple:
         """Sorted integer keys for ``(voxel, axis, sign)`` face lookup.
 
-        Returns ``(face_keys, order, voxel_keys)``: the face keys
-        ``voxel_key * 6 + axis * 2 + (sign > 0)`` in ascending order, the
-        face index behind each, and each face's voxel key ``(ix * g + iy) *
-        g + iz`` in the same order.  The occupancy marcher binary-searches
-        them.  Built on first use and cached, read-only; all int64, the
-        dtype the compiled marching kernels are specialised on.
+        Returns ``(face_keys, order)``: the face keys ``voxel_key * 6 +
+        axis * 2 + (sign > 0)``, with ``voxel_key = (ix * g + iy) * g +
+        iz``, in ascending order, and the face index behind each.  The
+        occupancy marcher binary-searches them; a voxel's faces start at
+        the first key at or after ``6 * voxel_key``.  Built on first use
+        and cached, read-only; all int64, the dtype the compiled marching
+        kernels are specialised on.
         """
         g = self.grid.resolution
         idx = self.voxel_indices.astype(np.int64, copy=False)
@@ -69,7 +70,7 @@ class QuadFaceSet:
         face_key = voxel_key * 6 + self.axes * 2 + (self.signs > 0)
         face_key = face_key.astype(np.int64, copy=False)
         order = np.argsort(face_key, kind="stable").astype(np.int64, copy=False)
-        tables = (face_key[order], order, voxel_key[order])
+        tables = (face_key[order], order)
         for table in tables:  # shared by every render of the model
             table.flags.writeable = False
         return tables

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baking.meshing import QuadFaceSet
+from repro.utils.blocks import block_ranges
 
 
 def _texel_center(coord: np.ndarray, patch_size: int) -> np.ndarray:
@@ -108,16 +109,18 @@ def bake_texture_atlas(
     radiance_fn,
     faces: QuadFaceSet,
     patch_size: int,
-    chunk_faces: int = 4096,
 ) -> TextureAtlas:
     """Materialise the full texture atlas by evaluating every texel centre.
+
+    Faces are baked in batches of ``max(1, FIELD_BLOCK // p^2)``, so each
+    radiance query holds about :data:`~repro.utils.blocks.FIELD_BLOCK`
+    texels whatever the patch size.
 
     Args:
         radiance_fn: ``(N, 3) world points -> (N, 3) RGB`` (typically the
             shaded radiance of the source field).
         faces: quad faces to texture.
         patch_size: the texture knob ``p`` (texels per face edge).
-        chunk_faces: number of faces baked per evaluation batch.
     """
     if patch_size < 1:
         raise ValueError("patch size must be at least 1")
@@ -132,8 +135,7 @@ def bake_texture_atlas(
     flat_v = grid_v.ravel()
     texels_per_face = patch_size * patch_size
 
-    for start in range(0, num_faces, chunk_faces):
-        stop = min(start + chunk_faces, num_faces)
+    for start, stop in block_ranges(num_faces, texels_per_face):
         batch = np.arange(start, stop)
         face_rep = np.repeat(batch, texels_per_face)
         u_rep = np.tile(flat_u, stop - start)

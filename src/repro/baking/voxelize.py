@@ -14,6 +14,8 @@ from functools import cached_property
 import numpy as np
 from scipy.ndimage import distance_transform_cdt
 
+from repro.utils.blocks import block_ranges
+
 
 @dataclass
 class VoxelGrid:
@@ -118,12 +120,19 @@ _REFINE_FACTOR = 4
 _LIPSCHITZ_SAFETY = 2.0
 
 
-def _chunked_sdf(field, centers: np.ndarray, chunk_size: int) -> np.ndarray:
-    values = np.empty(centers.shape[0])
-    for start in range(0, centers.shape[0], chunk_size):
-        stop = start + chunk_size
-        values[start:stop] = field.sdf(centers[start:stop])
-    return values
+def _lattice_blocks(lo: np.ndarray, spacing: float, resolution: int):
+    """Yield ``(start, stop, centers)`` over a cubic lattice's cell centres.
+
+    Cells are taken in flat C order, one block of flat indices per
+    :func:`~repro.utils.blocks.block_ranges` range, and only that block's
+    centres are built: ``(i + 0.5) * spacing + lo`` per axis, the
+    coordinates a meshgrid of the same axis values would give.
+    """
+    coords = (np.arange(resolution) + 0.5) * spacing
+    shape = (resolution,) * 3
+    for start, stop in block_ranges(resolution**3):
+        ix, iy, iz = np.unravel_index(np.arange(start, stop), shape)
+        yield start, stop, np.stack([coords[ix], coords[iy], coords[iz]], axis=1) + lo
 
 
 def voxelize_field(
@@ -131,7 +140,6 @@ def voxelize_field(
     resolution: int,
     padding: float = 0.06,
     occupancy_threshold: float = 0.0,
-    chunk_size: int = 262144,
 ) -> VoxelGrid:
     """Sample a field's SDF onto a cubic occupancy grid.
 
@@ -149,7 +157,9 @@ def voxelize_field(
     exact 1-Lipschitz SDF compositions; :class:`~repro.nerf.degradation.
     DegradedField` derives its bound from the noise slope); everything
     else — notably MLP-backed pseudo-SDFs with unbounded gradients — is
-    sampled exhaustively.
+    sampled exhaustively.  Either way, cell centres are built and queried
+    one :data:`~repro.utils.blocks.FIELD_BLOCK` block at a time, so the
+    working set stays cache-sized at any ``g``.
 
     Args:
         field: any object with ``sdf(points)`` and ``bounds_min``/``bounds_max``
@@ -160,8 +170,6 @@ def voxelize_field(
         occupancy_threshold: cells with ``sdf <= threshold`` are occupied; a
             small positive value makes voxelisation slightly conservative so
             thin structures survive at low ``g``.
-        chunk_size: number of cell centres evaluated per SDF call (bounds the
-            peak memory of the field evaluation).
     """
     if resolution < 2:
         raise ValueError("voxel resolution must be at least 2")
@@ -180,15 +188,13 @@ def voxelize_field(
         and np.isfinite(lipschitz)
     ):
         occupancy = _voxelize_hierarchical(
-            field, lo, voxel_size, int(resolution), threshold, chunk_size
+            field, lo, voxel_size, int(resolution), threshold
         )
     else:
-        coords = (np.arange(resolution) + 0.5) * voxel_size
-        grid_x, grid_y, grid_z = np.meshgrid(coords, coords, coords, indexing="ij")
-        centers = np.stack([grid_x, grid_y, grid_z], axis=-1).reshape(-1, 3) + lo
-        occupancy = (_chunked_sdf(field, centers, chunk_size) <= threshold).reshape(
-            resolution, resolution, resolution
-        )
+        occupancy = np.empty(resolution**3, dtype=bool)
+        for start, stop, centers in _lattice_blocks(lo, voxel_size, int(resolution)):
+            occupancy[start:stop] = field.sdf(centers) <= threshold
+        occupancy = occupancy.reshape(resolution, resolution, resolution)
 
     return VoxelGrid(
         origin=lo,
@@ -204,19 +210,15 @@ def _voxelize_hierarchical(
     voxel_size: float,
     resolution: int,
     threshold: float,
-    chunk_size: int,
 ) -> np.ndarray:
     """Coarse-to-fine occupancy sampling with a Lipschitz pruning bound."""
     factor = _REFINE_FACTOR
     coarse_res = resolution // factor
     coarse_voxel = voxel_size * factor
 
-    coarse_coords = (np.arange(coarse_res) + 0.5) * coarse_voxel
-    grid_x, grid_y, grid_z = np.meshgrid(
-        coarse_coords, coarse_coords, coarse_coords, indexing="ij"
-    )
-    coarse_centers = np.stack([grid_x, grid_y, grid_z], axis=-1).reshape(-1, 3) + lo
-    coarse_sdf = _chunked_sdf(field, coarse_centers, chunk_size)
+    coarse_sdf = np.empty(coarse_res**3)
+    for start, stop, centers in _lattice_blocks(lo, coarse_voxel, coarse_res):
+        coarse_sdf[start:stop] = field.sdf(centers)
 
     # Farthest fine-cell centre from its coarse block's centre, times the
     # field's (safety-scaled) Lipschitz bound: outside this margin the sign
@@ -233,19 +235,21 @@ def _voxelize_hierarchical(
         occupancy = np.repeat(occupancy, factor, axis=axis)
 
     undecided = np.flatnonzero(~decided)
-    if undecided.size:
+    sub = np.arange(factor)
+    sub_x, sub_y, sub_z = np.meshgrid(sub, sub, sub, indexing="ij")
+    sub_offsets = np.stack([sub_x, sub_y, sub_z], axis=-1).reshape(-1, 3)
+    # One block of undecided coarse blocks at a time, ``factor^3`` fine
+    # cells each.
+    for start, stop in block_ranges(undecided.size, factor**3):
         block_index = np.stack(
-            np.unravel_index(undecided, (coarse_res, coarse_res, coarse_res)), axis=1
+            np.unravel_index(undecided[start:stop], (coarse_res,) * 3), axis=1
         )
-        sub = np.arange(factor)
-        sub_x, sub_y, sub_z = np.meshgrid(sub, sub, sub, indexing="ij")
-        sub_offsets = np.stack([sub_x, sub_y, sub_z], axis=-1).reshape(-1, 3)
         fine_index = (
             block_index[:, None, :] * factor + sub_offsets[None, :, :]
         ).reshape(-1, 3)
         # Exact same centre coordinates as the flat path computes.
         fine_centers = (fine_index + 0.5) * voxel_size + lo
-        fine_occupied = _chunked_sdf(field, fine_centers, chunk_size) <= threshold
+        fine_occupied = field.sdf(fine_centers) <= threshold
         occupancy[fine_index[:, 0], fine_index[:, 1], fine_index[:, 2]] = fine_occupied
 
     return occupancy

@@ -46,6 +46,7 @@ from repro.scenes.raytrace import (
     field_radiance,
     shade_lambertian,
 )
+from repro.utils.blocks import block_ranges
 
 #: Default number of rays marched per chunk in the sample-heavy paths.
 DEFAULT_CHUNK_RAYS = 8192
@@ -648,13 +649,17 @@ class RenderEngine:
                 t_values = stratified_samples(
                     near[start:stop], far[start:stop], num_samples, rng=rng, jitter=False
                 )
-                points = origins[start:stop, None, :] + t_values[..., None] * directions[
-                    start:stop, None, :
-                ]
-                sdf = np.ascontiguousarray(
-                    field.sdf(points.reshape(-1, 3)).reshape(count, num_samples),
-                    dtype=np.float64,
-                )
+                # The SDF is queried in cache-sized blocks of rays, each
+                # block's sample points built inside the loop.
+                sdf = np.empty((count, num_samples))
+                for first, last in block_ranges(count, num_samples):
+                    rays = slice(start + first, start + last)
+                    points = origins[rays, None, :] + t_values[first:last, :, None] * (
+                        directions[rays, None, :]
+                    )
+                    sdf[first:last] = field.sdf(points.reshape(-1, 3)).reshape(
+                        last - first, num_samples
+                    )
                 densities = kernels.sdf_to_density(sdf, surface_width)
                 deltas = np.diff(
                     t_values,

@@ -63,7 +63,6 @@ def march_occupancy(
     skip_base,
     face_keys,
     face_order,
-    voxel_keys,
     key_base,
     face_start,
 ):
@@ -207,8 +206,9 @@ def march_occupancy(
         # concatenated tables (numpy_ref clips to it the same way).
         first = face_start[grid]
         last = face_start[grid + 1] - 1
-        voxel_key = key_base[grid] + (v0 * g + v1) * g + v2
-        face_key = voxel_key * 6 + entry_axis * 2 + sign_bit
+        # The voxel's faces start at the first key >= voxel_start.
+        voxel_start = (key_base[grid] + (v0 * g + v1) * g + v2) * 6
+        face_key = voxel_start + entry_axis * 2 + sign_bit
         lo_i = first
         hi_i = last + 1
         while lo_i < hi_i:
@@ -227,7 +227,7 @@ def march_occupancy(
             hi_i = last + 1
             while lo_i < hi_i:
                 mid = (lo_i + hi_i) // 2
-                if voxel_keys[mid] < voxel_key:
+                if face_keys[mid] < voxel_start:
                     lo_i = mid + 1
                 else:
                     hi_i = mid

@@ -51,28 +51,27 @@ def stack_grids(grids) -> tuple:
             tuple per grid: the world position of the grid's minimum
             corner, its voxel edge, its marching step, its
             :attr:`repro.baking.voxelize.VoxelGrid.skip_distance` table and
-            its ``(face_keys, face_order, voxel_keys)`` lookup tables
+            its ``(face_keys, face_order)`` lookup tables
             (:attr:`repro.baking.meshing.QuadFaceSet.lookup_keys`,
             non-empty).
 
     Returns:
         The arguments of :func:`march_occupancy` after ``grid_index``:
         ``(grid_lo, voxel, step, resolution, skip_tables, skip_base,
-        face_keys, face_order, voxel_keys, key_base, face_start)``.  Each
+        face_keys, face_order, key_base, face_start)``.  Each
         skip table is padded by one cell per side (value ``1``: empty,
         with no claim about its neighbours), flattened and concatenated at
         the tables' own unsigned dtype; ``skip_base[j]`` is where grid
         ``j``'s padded table starts.  The face tables are concatenated in
-        grid order, grid ``j``'s voxel keys shifted by ``key_base[j]`` (the
-        cell count of the grids before it) and its face keys by ``6 *
-        key_base[j]``, so the concatenated keys stay ascending and no two
-        grids share a key; ``face_start[j]:face_start[j + 1]`` is grid
-        ``j``'s slice.
+        grid order, grid ``j``'s face keys shifted by ``6 * key_base[j]``
+        (``key_base[j]`` is the cell count of the grids before it), so the
+        concatenated keys stay ascending and no two grids share a key;
+        ``face_start[j]:face_start[j + 1]`` is grid ``j``'s slice.
     """
     grid_lo, voxel, step, resolution = [], [], [], []
-    tables, face_keys, face_order, voxel_keys = [], [], [], []
+    tables, face_keys, face_order = [], [], []
     skip_base, key_base, face_start = [0], [0], [0]
-    for lo, size, ray_step, skip_distance, (keys, order, cell_keys) in grids:
+    for lo, size, ray_step, skip_distance, (keys, order) in grids:
         g = int(skip_distance.shape[0])
         padded = np.ones((g + 2,) * 3, dtype=skip_distance.dtype)
         padded[1:-1, 1:-1, 1:-1] = skip_distance
@@ -83,7 +82,6 @@ def stack_grids(grids) -> tuple:
         tables.append(padded.ravel())
         face_keys.append(keys + 6 * key_base[-1])
         face_order.append(order)
-        voxel_keys.append(cell_keys + key_base[-1])
         skip_base.append(skip_base[-1] + padded.size)
         key_base.append(key_base[-1] + g**3)
         face_start.append(face_start[-1] + len(keys))
@@ -96,7 +94,6 @@ def stack_grids(grids) -> tuple:
         np.array(skip_base[:-1], dtype=np.int64),
         np.concatenate(face_keys).astype(np.int64, copy=False),
         np.concatenate(face_order).astype(np.int64, copy=False),
-        np.concatenate(voxel_keys).astype(np.int64, copy=False),
         np.array(key_base[:-1], dtype=np.int64),
         np.array(face_start, dtype=np.int64),
     )
@@ -128,7 +125,6 @@ def march_occupancy(
     skip_base: np.ndarray,
     face_keys: np.ndarray,
     face_order: np.ndarray,
-    voxel_keys: np.ndarray,
     key_base: np.ndarray,
     face_start: np.ndarray,
 ) -> tuple:
@@ -163,8 +159,8 @@ def march_occupancy(
         voxel / step: ``(G,)`` voxel edge and marching step (``voxel *
             step_scale``) of each grid.
         resolution: ``(G,)`` int64 resolution ``g`` of each grid.
-        skip_tables / skip_base / face_keys / face_order / voxel_keys /
-            key_base / face_start: the padded skip tables and shifted face
+        skip_tables / skip_base / face_keys / face_order / key_base /
+            face_start: the padded skip tables and shifted face
             tables of every grid, as :func:`stack_grids` packs them.  A
             skip table is the grid's occupancy and its skip table in one
             array.
@@ -300,10 +296,11 @@ def march_occupancy(
     entry_sign = np.where(sub_dirs[np.arange(len(hit_rows)), entry_axis] > 0, -1, 1)
 
     # Face lookup: exact (voxel, axis, sign) key, falling back to any face
-    # of the voxel when marching entered through an interior face.  Both
-    # searches run over the concatenated tables and are clipped to the
-    # row's grid slice, so a key past the end of grid j's table resolves
-    # to grid j's last face, never to the next grid's first.
+    # of the voxel when marching entered through an interior face — the
+    # first key at or after ``6 * voxel_key``, where the voxel's faces
+    # start.  Both searches run over the concatenated tables and are
+    # clipped to the row's grid slice, so a key past the end of grid j's
+    # table resolves to grid j's last face, never to the next grid's first.
     g = resolution[hit_grids]
     voxel_key = (hit_voxels[:, 0] * g + hit_voxels[:, 1]) * g + hit_voxels[:, 2]
     voxel_key += key_base[hit_grids]
@@ -315,7 +312,7 @@ def march_occupancy(
     face_indices = face_order[pos]
     if not found.all():
         missing = ~found
-        fallback_pos = np.searchsorted(voxel_keys, voxel_key[missing])
+        fallback_pos = np.searchsorted(face_keys, 6 * voxel_key[missing])
         fallback_pos = np.minimum(
             np.maximum(fallback_pos, first[missing]), last[missing]
         )

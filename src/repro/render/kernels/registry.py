@@ -196,11 +196,7 @@ def warm_up(name=None) -> KernelSet:
     directions = np.array([[1.0, 0.0, 0.0]])
     t_near = np.array([0.5])
     t_far = np.array([2.5])
-    face_tables = (
-        np.arange(6, dtype=np.int64),
-        np.zeros(6, dtype=np.int64),
-        np.zeros(6, dtype=np.int64),
-    )
+    face_tables = (np.arange(6, dtype=np.int64), np.zeros(6, dtype=np.int64))
     grid_args = _numpy_ref.stack_grids(
         [(np.zeros(3), 1.0, 0.5, np.zeros((1, 1, 1), dtype=np.uint8), face_tables)]
     )

@@ -21,6 +21,7 @@ from repro.metrics import ssim
 from repro.scenes.cameras import orbit_cameras
 from repro.scenes.library import make_single_object_scene
 from repro.scenes.raytrace import render_scene
+from tests import _field_oracle as field_oracle
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +68,11 @@ class TestVoxelize:
     def test_hierarchical_sampling_matches_exhaustive(self, sphere):
         """The Lipschitz-pruned coarse-to-fine voxelisation must produce the
         exact occupancy of evaluating every cell centre."""
-        from repro.baking.voxelize import _chunked_sdf, _cubic_bounds
         from repro.nerf.degradation import DegradedField
 
         for field in (sphere, DegradedField(sphere, 0.01, seed=0)):
             for resolution in (32, 48):
-                lo, hi = _cubic_bounds(field.bounds_min, field.bounds_max, 0.06)
-                voxel = float((hi - lo)[0]) / resolution
-                coords = (np.arange(resolution) + 0.5) * voxel
-                gx, gy, gz = np.meshgrid(coords, coords, coords, indexing="ij")
-                centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + lo
-                exhaustive = (_chunked_sdf(field, centers, 262144) <= 0.0).reshape(
-                    resolution, resolution, resolution
-                )
+                exhaustive = field_oracle.voxelize_flat(field, resolution)
                 grid = voxelize_field(field, resolution=resolution)
                 assert np.array_equal(grid.occupancy, exhaustive)
 
@@ -89,7 +82,6 @@ class TestVoxelize:
         exhaustively — assuming 1-Lipschitz would corrupt its occupancy.
         Placing it as an object, alone or in a scene, must not invent a
         bound either."""
-        from repro.baking.voxelize import _chunked_sdf, _cubic_bounds
         from repro.scenes.scene import PlacedObject, Scene
 
         class SteepField:
@@ -110,14 +102,7 @@ class TestVoxelize:
             assert not np.isfinite(getattr(candidate, "sdf_lipschitz", np.inf))
             for resolution in (32, 64):
                 grid = voxelize_field(candidate, resolution=resolution)
-                lo, hi = _cubic_bounds(candidate.bounds_min, candidate.bounds_max, 0.06)
-                voxel = float((hi - lo)[0]) / resolution
-                coords = (np.arange(resolution) + 0.5) * voxel
-                gx, gy, gz = np.meshgrid(coords, coords, coords, indexing="ij")
-                centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + lo
-                exhaustive = (_chunked_sdf(candidate, centers, 262144) <= 0.0).reshape(
-                    resolution, resolution, resolution
-                )
+                exhaustive = field_oracle.voxelize_flat(candidate, resolution)
                 assert np.array_equal(grid.occupancy, exhaustive)
 
     def test_floater_fields_have_no_finite_lipschitz_bound(self, sphere):

@@ -274,9 +274,7 @@ class TestExactTierParity:
         face_key = voxel_key * 6 + axes * 2 + (signs > 0)
         order = np.argsort(face_key, kind="stable").astype(np.int64)
         grid_lo = np.array([-1.0, -0.5, 0.25])
-        face_tables = (
-            face_key[order].astype(np.int64), order, voxel_key[order].astype(np.int64)
-        )
+        face_tables = (face_key[order].astype(np.int64), order)
         num_rays = 400
         origins = rng.normal(scale=1.5, size=(num_rays, 3)) + grid_lo
         directions = rng.normal(size=(num_rays, 3))
@@ -311,7 +309,7 @@ class TestExactTierParity:
             np.array([[-2.0, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]]),
             np.array([0.0]), np.array([5.0]), np.zeros(1, dtype=np.int64),
             *stack_grids([(np.zeros(3), 1.0, 0.5, skip_table(occupancy),
-                           (keys, keys, keys))]),
+                           (keys, keys))]),
         )
         for array, dtype in zip(out, (np.int64, np.int64, np.float64,
                                       np.float64, np.float64)):
@@ -325,7 +323,7 @@ class TestExactTierParity:
             np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0),
             np.empty(0, dtype=np.int64),
             *stack_grids([(np.zeros(3), 1.0, 0.5, skip_table(occupancy),
-                           (keys, keys, keys))]),
+                           (keys, keys))]),
         )
         assert all(array.size == 0 for array in out)
 
@@ -411,8 +409,8 @@ def full_face_tables(occupancy):
     face_key = voxel_key * 6 + axes * 2 + (signs > 0)
     order = np.argsort(face_key, kind="stable").astype(np.int64)
     if order.size == 0:  # the kernels need a non-empty table to search
-        face_key = voxel_key = order = np.zeros(1, dtype=np.int64)
-    tables = (face_key[order].astype(np.int64), order, voxel_key[order].astype(np.int64))
+        face_key = order = np.zeros(1, dtype=np.int64)
+    tables = (face_key[order].astype(np.int64), order)
     return tables, face_voxels
 
 
