@@ -40,7 +40,6 @@ from repro.analysis.engine import (
     load_module,
 )
 from repro.analysis.rules import DEFAULT_RULES, all_rules
-from repro.analysis.sanitize import Sanitizer, sanitize_report
 
 __all__ = [
     "AnalysisResult",
@@ -53,7 +52,6 @@ __all__ = [
     "ModuleContext",
     "ProjectRule",
     "Rule",
-    "Sanitizer",
     "Waiver",
     "all_rules",
     "analyze_module",
@@ -62,6 +60,5 @@ __all__ = [
     "concurrent_scope",
     "iter_python_files",
     "load_module",
-    "sanitize_report",
     "worker_shipped_scope",
 ]

@@ -1,21 +1,29 @@
 """The project-invariant rule catalog.
 
-Four rule families encode the invariants this reproduction's guarantees
-rest on — the exact classes of bug PRs 3 and 4 fixed after the fact:
+Six rule families encode the invariants this reproduction's guarantees
+rest on — the exact classes of bug once fixed after the fact (per-process
+store keys, aliased seed streams, racing warning filters):
 
 * ``REP-D1xx`` **determinism** — golden-artefact modules (``repro/core``,
   ``repro/exec``, ``repro/render``, ``repro/baking``) must not read
   wall-clocks, per-process ``hash()``/``id()`` values, unseeded RNG
   streams, ad-hoc OS entropy, or iterate sets into ordered output.
 * ``REP-F2xx`` **fork/pickle safety** — callables shipped to worker
-  daemons must not close over locks, sockets, open files or threads, and
-  modules that fork must not also spawn threads.
+  daemons must not close over locks, sockets, open files or threads
+  (F201), nor reach impure code (F203) or lock/file/socket state (F204)
+  through the call graph.
 * ``REP-L3xx`` **lock discipline** — a class that owns a
   ``threading.Lock`` (or a ``LockedLRU``) mutates its shared attributes
   only inside ``with self._lock`` / ``with self._lru.lock`` blocks.
 * ``REP-E4xx`` **environment hygiene** — every environment variable is
   read through the typed :mod:`repro.config.env` registry; raw
   ``os.environ`` reads anywhere else are findings.
+* ``REP-G5xx`` **concurrent global state** — code reachable from a
+  thread-pool entry must not mutate process-global state (warning
+  filters, numpy error state, ...), the race once fixed in
+  ``QualityModel.fit``.
+* ``REP-W0xx`` **waiver hygiene** — an inline allow that suppresses
+  nothing is itself a finding.
 
 Rule ids are stable and never reused; retired rules leave a tombstone
 comment here.  Adding a rule: subclass :class:`~repro.analysis.engine.
@@ -353,16 +361,12 @@ class SetIterationRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: Constructors whose results must never be captured by a callable shipped
-#: to a worker: value kind -> dotted call names.  The ``make_lock`` /
-#: ``make_rlock`` seams of :mod:`repro.analysis.sanitize` construct (and
-#: possibly wrap) real locks, so they count as lock constructors here and
-#: in the REP-L3xx family.
+#: to a worker: value kind -> dotted call names.
 _UNPICKLABLE_CONSTRUCTORS = {
     "lock": {
         "threading.Lock", "threading.RLock", "threading.Condition",
         "threading.Event", "threading.Semaphore", "threading.BoundedSemaphore",
-        "Lock", "RLock", "make_lock", "make_rlock",
-        "sanitize.make_lock", "sanitize.make_rlock",
+        "Lock", "RLock",
     },
     "open file": {"open", "io.open", "tempfile.NamedTemporaryFile",
                   "tempfile.TemporaryFile", "gzip.open"},
@@ -492,33 +496,9 @@ class WorkerClosureRule(Rule):
                     break
 
 
-class ThreadInForkingModuleRule(Rule):
-    """``threading.Thread`` in a module that also calls ``os.fork``: a
-    fork only duplicates the calling thread, so locks held by the others
-    are copied locked into the child — a classic deadlock factory."""
-
-    rule_id = "REP-F202"
-    title = "thread creation in a module that forks"
-    severity = "error"
-
-    def check(self, module):
-        forks = any(
-            isinstance(node, ast.Call) and dotted_name(node.func) == "os.fork"
-            for node in ast.walk(module.tree)
-        )
-        if not forks:
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and dotted_name(node.func) == "threading.Thread"
-            ):
-                yield self.finding(
-                    module, node,
-                    "threading.Thread created in a module that os.fork()s; "
-                    "forked children inherit locked locks from threads that "
-                    "no longer exist — keep forking modules single-threaded",
-                )
+# REP-F202 (retired): ``threading.Thread`` in a module that calls
+# ``os.fork``.  Daemons fork only through ``multiprocessing``'s fork
+# context, so no module ever matched its ``os.fork()`` precondition.
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +507,7 @@ class ThreadInForkingModuleRule(Rule):
 
 _LOCK_CONSTRUCTORS = {
     "threading.Lock", "threading.RLock", "Lock", "RLock",
-    "threading.Condition", "make_lock", "make_rlock",
-    "sanitize.make_lock", "sanitize.make_rlock",
+    "threading.Condition",
 }
 
 #: Mutating methods of the plain containers a lock-owning class shares.
@@ -1030,7 +1009,6 @@ DEFAULT_RULES = (
     EntropyRule(),
     SetIterationRule(),
     WorkerClosureRule(),
-    ThreadInForkingModuleRule(),
     ReachableImpurityRule(),
     ReachableLockRule(),
     LockDisciplineRule(),

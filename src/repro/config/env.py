@@ -185,27 +185,6 @@ REPRO_ARTIFACT_MAX_MB = register(EnvVar(
     default_text="4 GiB (floor 1 MiB)",
 ))
 
-REPRO_SANITIZE = register(EnvVar(
-    name="REPRO_SANITIZE",
-    default=False,
-    parser=parse_bool,
-    description="Enable the runtime concurrency sanitizer: instrumented "
-    "locks (lock-order-cycle and across-map-boundary detection) and "
-    "process-global mutation watchers; findings gate CI's sanitize leg.",
-    consumers=("repro.analysis.sanitize",),
-))
-
-REPRO_SANITIZE_REPORT = register(EnvVar(
-    name="REPRO_SANITIZE_REPORT",
-    default=None,
-    parser=parse_optional_str,
-    description="Path the sanitizer's machine-readable JSON report is "
-    "written to at interpreter exit; unset keeps the report in-process "
-    "only (sanitize_report()).",
-    consumers=("repro.analysis.sanitize",),
-    default_text="unset (in-process only)",
-))
-
 REPRO_FULL = register(EnvVar(
     name="REPRO_FULL",
     default=False,

@@ -38,7 +38,6 @@ from repro.baking.baked_model import (
     bake_geometry,
     field_cache_identity,
 )
-from repro.analysis.sanitize import task_span
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.profiler import ObjectProfile, ProfileFitter
 from repro.core.segmentation import DetailBasedSegmenter, SegmentationResult, SubScene
@@ -896,10 +895,9 @@ class NeRFlexPipeline:
 
 
 def _run_job(pipeline: NeRFlexPipeline, dataset) -> tuple:
-    """One corpus job on a pool thread, counted as in flight by the
-    concurrency sanitizer (``task_span`` is a no-op unless it is armed)."""
-    with task_span():
-        return pipeline.run(dataset)
+    """One corpus job on a pool thread: the entry REP-G501's concurrent
+    scope starts from."""
+    return pipeline.run(dataset)
 
 
 def run_corpus(jobs, workers: int = 0) -> list:

@@ -44,7 +44,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.analysis.sanitize import map_boundary, task_span
 from repro.config import env as repro_env
 from repro.exec.transport import (  # noqa: F401  (re-exported API)
     fork_available,
@@ -157,18 +156,10 @@ class ThreadBackend(Backend):
         items = list(items)
         if self.workers <= 1 or len(items) <= 1:
             return SerialBackend().map(fn, items, timer=timer, stage=stage)
-
-        def task(item):
-            # task_span / map_boundary: concurrency-sanitizer hooks, no-ops
-            # unless REPRO_SANITIZE is set.
-            with task_span():
-                return fn(item)
-
-        with map_boundary(f"ThreadBackend.map:{stage or ''}"):
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                if timer is None or stage is None:
-                    return list(pool.map(task, items))
-                pairs = list(pool.map(lambda item: _timed(task, item), items))
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            if timer is None or stage is None:
+                return list(pool.map(fn, items))
+            pairs = list(pool.map(lambda item: _timed(fn, item), items))
         return _credit(timer, stage, pairs)
 
 

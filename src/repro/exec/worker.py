@@ -49,7 +49,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 
-from repro.analysis.sanitize import map_boundary
 from repro.exec.transport import (
     LIFECYCLE_LOCK,
     _IMAGE_ITEMS,
@@ -369,9 +368,7 @@ class WorkerHost:
         # must stay stable while any daemon can be (re)spawned, and a
         # persistent fleet must never run two maps at once.  Parallelism
         # comes from the daemons inside one map, not from overlapping maps.
-        # map_boundary: the sanitizer flags callers that arrive here holding
-        # an instrumented lock (the map blocks on daemons; no-op when off).
-        with map_boundary("WorkerHost.run"), LIFECYCLE_LOCK:
+        with LIFECYCLE_LOCK:
             self.maps += 1
             if items_payload_ok:
                 self._ensure_task(fn, report)

@@ -21,8 +21,8 @@ Compilation flags, all load-bearing:
 
 Deliberately **no** ``parallel=True`` and no thread-count knob: numba's
 threading layers (TBB/OpenMP/workqueue) start worker threads that do not
-survive ``os.fork``, which would poison the forked worker daemons
-(the REP-F202 class of bug).  Kernels stay single-threaded per call;
+survive ``os.fork``, which would poison the forked worker daemons.
+Kernels stay single-threaded per call;
 parallelism across rays belongs to the existing chunk sharding in
 :mod:`repro.exec`.
 

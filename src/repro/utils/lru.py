@@ -10,9 +10,8 @@ their own hit/miss statistics on top; compound operations take
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-
-from repro.analysis.sanitize import make_rlock
 
 #: Sentinel distinguishing "stored None" from "absent" in :meth:`LockedLRU.get`.
 MISS = object()
@@ -30,9 +29,7 @@ class LockedLRU:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive (or None)")
         self.max_entries = max_entries
-        # The sanitizer seam: a plain RLock normally, a recording wrapper
-        # under REPRO_SANITIZE=1 (see repro.analysis.sanitize).
-        self.lock = make_rlock("LockedLRU")
+        self.lock = threading.RLock()
         self._store: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:

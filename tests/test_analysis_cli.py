@@ -18,6 +18,19 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 
+@pytest.fixture(scope="module")
+def repo_analysis():
+    """One lint of the real tree (src + tests + benchmarks, the CI gate's
+    invocation) under the checked-in baseline, shared by the tests that
+    inspect it."""
+    baseline = Baseline.load(os.path.join(REPO_ROOT, ".analysis-baseline.json"))
+    return analyze_paths(
+        [os.path.join(REPO_ROOT, d) for d in ("src", "tests", "benchmarks")],
+        all_rules(),
+        baseline=baseline,
+    )
+
+
 def run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
@@ -223,17 +236,29 @@ class TestBaseline:
 
 
 class TestRepositoryGate:
-    def test_whole_repo_is_clean_under_the_checked_in_baseline(self):
+    def test_whole_repo_is_clean_under_the_checked_in_baseline(self, repo_analysis):
         """The exact CI invocation: src + tests + benchmarks from the repo
         root must produce zero non-baselined findings."""
-        baseline = Baseline.load(os.path.join(REPO_ROOT, ".analysis-baseline.json"))
-        result = analyze_paths(
-            [os.path.join(REPO_ROOT, d) for d in ("src", "tests", "benchmarks")],
-            all_rules(),
-            baseline=baseline,
-        )
+        result = repo_analysis
         assert result.files_checked > 90
         assert result.findings == [], "\n".join(f.format() for f in result.findings)
+
+    def test_runtime_does_not_import_the_linter(self):
+        """The linter is a review-time tool: importing the pipeline, the
+        execution layer and the renderer must not load any of it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys\n"
+            "import repro.core.pipeline, repro.exec, repro.render\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_in_process_main_matches_subprocess(self, tmp_path, capsys, monkeypatch):
         write_module(tmp_path, "src/repro/core/good.py", "VALUE = 1\n")
@@ -344,13 +369,9 @@ class TestWaiversAudit:
         result = run_cli(["--waivers", "src"], cwd=tmp_path)
         assert "(no reason given)" in result.stdout
 
-    def test_repo_waivers_all_carry_reasons_and_suppress(self):
+    def test_repo_waivers_all_carry_reasons_and_suppress(self, repo_analysis):
         # The repository's own waivers must stay justified and live.
-        result = analyze_paths(
-            [os.path.join(REPO_ROOT, d) for d in ("src", "tests", "benchmarks")],
-            all_rules(),
-        )
-        for waiver in result.waivers:
+        for waiver in repo_analysis.waivers:
             assert waiver.reason, f"{waiver.path}:{waiver.line} has no reason"
             assert waiver.suppressed > 0, (
                 f"{waiver.path}:{waiver.line} suppresses nothing"
