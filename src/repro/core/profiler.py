@@ -27,13 +27,43 @@ Model families
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from repro.core.config_space import Configuration, ConfigurationSpace
+
+#: Serialises every curve fit.  ``warnings.catch_warnings()`` saves and
+#: restores the process-global filter list, so two overlapping fits could
+#: restore each other's state and let an ``OptimizeWarning`` escape the
+#: "ignore" scope mid-fit.  Fits take milliseconds, so holding one lock
+#: across the scope costs nothing measurable.
+_FIT_LOCK = threading.Lock()
+
+# A fork waits for any in-flight fit, so a forked worker never inherits a
+# held lock (nor a half-restored filter list).
+os.register_at_fork(
+    before=_FIT_LOCK.acquire,
+    after_in_parent=_FIT_LOCK.release,
+    after_in_child=_FIT_LOCK.release,
+)
+
+
+def _fit_curve(model, xdata, ydata, **kwargs) -> tuple:
+    """``scipy.optimize.curve_fit`` with ``OptimizeWarning`` ignored.
+
+    Returns ``(params, pcov)``.  ``scipy.optimize`` is imported on the first
+    fit rather than with this module: the real-time baked path imports the
+    pipeline but never fits, and should not keep the optimiser resident.
+    """
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    with _FIT_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        return curve_fit(model, xdata, ydata, **kwargs)
 
 
 def _configs_to_arrays(configs: list) -> tuple:
@@ -106,11 +136,9 @@ class QualityModel:
         degenerate = True
         params = None
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OptimizeWarning)
-                params, pcov = curve_fit(
-                    model, (g, p), quality, p0=initial, bounds=bounds, maxfev=20000
-                )
+            params, pcov = _fit_curve(
+                model, (g, p), quality, p0=initial, bounds=bounds, maxfev=20000
+            )
             # Degenerate measurement sets (constant quality, collinear
             # samples) make the covariance inestimable; scipy fills pcov
             # with inf and warns.  The condition is read off pcov rather
@@ -172,10 +200,8 @@ class PaperSizeModel:
         )
         initial = (m0, k0, a0, b0)
         bounds = ([0.0, 0.0, 0.01, 0.01], [1e6, 1e14, 1e3, 1e2])
-        with warnings.catch_warnings():
-            # Reference-only model: an inestimable covariance is tolerable.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            params, _ = curve_fit(model, (g, p), sizes, p0=initial, bounds=bounds, maxfev=40000)
+        # Reference-only model: an inestimable covariance is tolerable.
+        params, _ = _fit_curve(model, (g, p), sizes, p0=initial, bounds=bounds, maxfev=40000)
         return cls(m=float(params[0]), k=float(params[1]), a=float(params[2]), b=float(params[3]))
 
 
@@ -203,10 +229,8 @@ class PaperQualityModel:
 
         initial = (float(quality.mean()) / (64.0**3 * 9.0), 1.0, 1.0)
         bounds = ([0.0, 0.01, 0.01], [1.0, 1e3, 1e2])
-        with warnings.catch_warnings():
-            # Reference-only model: an inestimable covariance is tolerable.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            params, _ = curve_fit(model, (g, p), quality, p0=initial, bounds=bounds, maxfev=20000)
+        # Reference-only model: an inestimable covariance is tolerable.
+        params, _ = _fit_curve(model, (g, p), quality, p0=initial, bounds=bounds, maxfev=20000)
         return cls(k=float(params[0]), a=float(params[1]), b=float(params[2]))
 
 

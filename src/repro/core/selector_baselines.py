@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.core.config_space import Configuration
 from repro.core.profiler import ObjectProfile, QualityModel, SizeModel
@@ -205,6 +204,10 @@ class SLSQPSelector:
             for index, profile in enumerate(profiles):
                 total += _continuous_size(profile, x[2 * index], x[2 * index + 1])
             return budget_mb - total
+
+        # Imported here, not with the module: only this selector uses the
+        # optimiser, and the baked real-time path never loads it.
+        from scipy.optimize import minimize
 
         solution = minimize(
             objective,

@@ -74,11 +74,10 @@ def coverage_detail_scale(
     return max(scale, float(floor_fraction) * float(world_extent))
 
 
-def _hash01(cells: np.ndarray, salt: float) -> np.ndarray:
-    """Deterministic pseudo-random values in [0, 1) per integer cell."""
-    cells = np.asarray(cells, dtype=np.float64)
-    dots = cells @ np.array([127.1, 311.7, 74.7]) + salt * 53.7
-    return np.modf(np.abs(np.sin(dots) * 43758.5453123))[0]
+def _hash01(dots: np.ndarray, salt: float) -> np.ndarray:
+    """Deterministic pseudo-random values in [0, 1) per integer cell, from
+    the cells' dot products with ``[127.1, 311.7, 74.7]``."""
+    return np.modf(np.abs(np.sin(dots + salt * 53.7) * 43758.5453123))[0]
 
 
 class DegradedField:
@@ -194,16 +193,22 @@ class DegradedField:
         """
         spacing = self.floater_spacing
         cells = np.floor(points / spacing)
-        exists = _hash01(cells, salt=1.0 + self.seed) < self.floater_rate
+        # One full-length dot product serves all five hashes; the offset and
+        # radius hashes (salts 2-5) are evaluated only on floating rows.
+        dots = cells @ np.array([127.1, 311.7, 74.7])
+        exists = _hash01(dots, salt=1.0 + self.seed) < self.floater_rate
         exists &= base_distance < self.floater_shell
+        rows = np.flatnonzero(exists)
+        dots = dots[rows]
         offsets = np.stack(
-            [_hash01(cells, salt=salt + self.seed) for salt in (2.0, 3.0, 4.0)], axis=1
+            [_hash01(dots, salt=salt + self.seed) for salt in (2.0, 3.0, 4.0)], axis=1
         )
-        centers = (cells + 0.2 + 0.6 * offsets) * spacing
-        radii = self.floater_radius * (0.5 + _hash01(cells, salt=5.0 + self.seed))
-        distance = np.linalg.norm(points - centers, axis=1) - radii
+        centers = (cells[rows] + 0.2 + 0.6 * offsets) * spacing
+        radii = self.floater_radius * (0.5 + _hash01(dots, salt=5.0 + self.seed))
         # Cells without a floater contribute a large positive distance.
-        return np.where(exists, distance, np.full_like(distance, 10.0 * self.extent))
+        distance = np.full(len(points), 10.0 * self.extent)
+        distance[rows] = np.linalg.norm(points[rows] - centers, axis=1) - radii
+        return distance
 
     def describe(self) -> dict:
         return {

@@ -1,5 +1,12 @@
 """Tests for the lightweight profiler (white-box quality/size models)."""
 
+import dataclasses
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import profiler
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.profiler import (
     ObjectProfile,
@@ -201,3 +209,135 @@ class TestProfileFitter:
         quality, size = measure(held_out)
         assert profile.predict_quality(held_out) == pytest.approx(quality, abs=0.12)
         assert profile.predict_size(held_out) == pytest.approx(size, rel=0.35)
+
+
+class TestFitLock:
+    """Curve fits serialise their ``catch_warnings`` scopes, and a fork never
+    hands a worker a held fit lock."""
+
+    def test_concurrent_degenerate_fits_leak_no_warning(self):
+        # Four samples for four parameters: no degrees of freedom, so every
+        # curve_fit call warns that the covariance cannot be estimated.
+        configs = [Configuration(16, 1), Configuration(32, 2), Configuration(64, 4), Configuration(96, 8)]
+        qualities = np.array([0.5, 0.7, 0.85, 0.9])
+        reference = QualityModel.fit(configs, qualities)  # imports scipy.optimize
+        assert (reference.a, reference.b) == (8.0, 1.0)  # the linear fallback
+        models, errors = [], []
+
+        def fit_many():
+            try:
+                for _ in range(20):
+                    models.append(QualityModel.fit(configs, qualities))
+            except BaseException as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            threads = [threading.Thread(target=fit_many) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert not errors
+        assert [str(w.message) for w in caught] == []
+        assert models == [reference] * 80
+
+    def test_fork_while_a_fit_holds_the_lock_gives_the_child_a_free_lock(self):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with profiler._FIT_LOCK:
+                held.set()
+                release.wait(5.0)
+
+        def child():
+            QualityModel.fit(list(SPACE.profiling_configs()), np.linspace(0.5, 0.9, 9))
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(5.0)
+        # The fork waits in the at-fork hook until the holder lets go.
+        threading.Timer(0.2, release.set).start()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns about forking a multi-threaded process.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            process = multiprocessing.get_context("fork").Process(target=child)
+            process.start()
+        holder.join()
+        process.join(60.0)
+        if process.exitcode is None:  # pragma: no cover - the failure mode
+            process.kill()
+            process.join()
+        assert process.exitcode == 0
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Imports the real-time path and renders one baked frame of a one-object
+#: bundle, then prints the loaded ``scipy.optimize`` modules as JSON.
+_BAKED_FRAME_PROBE = """
+import json, sys
+import repro.core.pipeline, repro.render, repro.baking
+from repro.baking.baked_model import BakedMultiModel, bake_field
+from repro.render.engine import RenderEngine
+from repro.scenes.cameras import orbit_cameras
+from repro.scenes.library import make_single_object_scene
+
+scene = make_single_object_scene("sphere")
+bundle = BakedMultiModel([bake_field(scene, 16, 1, name="sphere", materialize_textures=True)])
+camera = orbit_cameras(scene.center, radius=1.3 * scene.extent, count=1, width=16, height=16)[0]
+frame = RenderEngine().render_baked_views(bundle, [camera])[0]
+assert frame.rgb.shape == (16, 16, 3)
+
+def optimize_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+
+print(json.dumps(optimize_modules()))
+"""
+
+_FIT_PROBE = """
+import dataclasses
+from repro.core.config_space import Configuration
+from repro.core.profiler import QualityModel
+
+configs = [Configuration(g, p) for g, p in CONFIGS]
+model = QualityModel.fit(configs, QUALITIES)
+print(json.dumps(optimize_modules()))
+print(json.dumps([float(value).hex() for value in dataclasses.astuple(model)]))
+"""
+
+_PROBE_CONFIGS = [(16, 1), (24, 2), (32, 4), (48, 1), (64, 2), (96, 4), (128, 8)]
+
+
+def _probe_qualities() -> list:
+    return [synthetic_measure(Configuration(g, p))[0] for g, p in _PROBE_CONFIGS]
+
+
+def _run_probe(code: str) -> list:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return [json.loads(line) for line in result.stdout.strip().splitlines()]
+
+
+class TestImportBoundary:
+    """``scipy.optimize`` loads on the first fit, never with the pipeline:
+    the baked real-time path must not keep the optimiser resident."""
+
+    def test_baked_frame_leaves_scipy_optimize_unloaded(self):
+        assert _run_probe(_BAKED_FRAME_PROBE) == [[]]
+
+    def test_first_fit_loads_scipy_optimize_and_matches_in_process(self):
+        probe = _BAKED_FRAME_PROBE + _FIT_PROBE.replace(
+            "CONFIGS", repr(_PROBE_CONFIGS)
+        ).replace("QUALITIES", repr(_probe_qualities()))
+        before, after, params = _run_probe(probe)
+        assert before == []
+        assert "scipy.optimize" in after
+        model = QualityModel.fit(
+            [Configuration(g, p) for g, p in _PROBE_CONFIGS], np.array(_probe_qualities())
+        )
+        assert params == [float(value).hex() for value in dataclasses.astuple(model)]

@@ -24,6 +24,7 @@ from repro.metrics import ssim
 from repro.scenes.cameras import orbit_cameras
 from repro.scenes.library import make_single_object_scene
 from repro.scenes.raytrace import render_scene
+from tests import _floater_oracle
 
 
 class TestPositionalEncoding:
@@ -314,3 +315,50 @@ class TestDegradation:
         degraded = DegradedField(scene, detail_scale=scale, seed=0)
         assert degraded.noise_amplitude == pytest.approx(0.45 * scale)
         assert degraded.noise_wavelength >= 2.0 * scale
+
+
+def _assert_bit_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestFloaterOracle:
+    """``DegradedField._floater_sdf`` (one dot product, per-floater hashes)
+    matches the pre-rewrite oracle in :mod:`tests._floater_oracle` bit for
+    bit.  Floating rows are forced through ``base_distance`` with
+    ``floater_rate=1.0``, where every cell hash qualifies."""
+
+    @given(
+        seed=st.integers(0, 50),
+        count=st.integers(1, 300),
+        mode=st.sampled_from(["none", "one", "all", "rate0"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, seed, count, mode, data):
+        scene = make_single_object_scene("torus")
+        rate = 0.0 if mode == "rate0" else 1.0
+        field = DegradedField(scene, detail_scale=0.05, floater_rate=rate, seed=seed)
+        points = np.random.default_rng(seed).uniform(-0.6, 0.6, size=(count, 3))
+        inside, outside = 0.0, field.floater_shell + 1.0
+        base_distance = np.full(count, inside if mode in ("all", "rate0") else outside)
+        if mode == "one":
+            base_distance[data.draw(st.integers(0, count - 1))] = inside
+        got = field._floater_sdf(points, base_distance)
+        _assert_bit_equal(got, _floater_oracle.floater_sdf(field, points, base_distance))
+        floating = int(np.sum(got < 10.0 * field.extent))
+        assert floating == {"none": 0, "one": 1, "all": count, "rate0": 0}[mode]
+
+    @pytest.mark.parametrize("name", ["cube", "lego"])
+    def test_matches_oracle_on_a_poorly_covered_object(self, name):
+        scene = make_single_object_scene(name)
+        field = DegradedField(scene, detail_scale=0.1, seed=3)
+        assert field.floater_rate > 0.0
+        points = np.random.default_rng(1).uniform(
+            scene.bounds_min, scene.bounds_max, size=(5000, 3)
+        )
+        base_distance = scene.sdf(points)
+        got = field._floater_sdf(points, base_distance)
+        _assert_bit_equal(got, _floater_oracle.floater_sdf(field, points, base_distance))
+        assert 0 < int(np.sum(got < 10.0 * field.extent)) < len(points)

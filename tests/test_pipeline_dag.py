@@ -21,14 +21,6 @@ from repro.scenes.scene import PlacedObject, Scene
 
 from tests._golden_driver import GOLDEN_DEVICE, golden_config, report_record
 
-# Concurrent profile fits can race the process-global warnings filters, so
-# scipy's cosmetic OptimizeWarning occasionally escapes QualityModel.fit's
-# "ignore" scope.  The fallback decision itself is read off pcov and is
-# race-free (see repro.core.profiler); the leaked warning is just noise.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::scipy.optimize.OptimizeWarning"
-)
-
 #: The corpus: three tiny scenes with differing object counts, so the
 #: scenes' run times differ and pool jobs finish out of job order.
 CORPUS_SPECS = {
