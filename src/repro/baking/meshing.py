@@ -20,6 +20,9 @@ from repro.baking.voxelize import VoxelGrid
 #: quad spans the two remaining axes.
 _TANGENT_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
+#: The same pairs as a ``(3, 2)`` table indexed by normal axis.
+_TANGENTS = np.array([_TANGENT_AXES[axis] for axis in range(3)])
+
 
 @dataclass
 class QuadFaceSet:
@@ -99,16 +102,18 @@ class QuadFaceSet:
         face_indices = np.asarray(face_indices, dtype=int)
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        centers = self.face_centers()[face_indices]
         axes = self.axes[face_indices]
         size = self.grid.voxel_size
-
-        points = centers.copy()
-        tangent_u = np.array([_TANGENT_AXES[axis][0] for axis in axes])
-        tangent_v = np.array([_TANGENT_AXES[axis][1] for axis in axes])
         rows = np.arange(len(face_indices))
-        points[rows, tangent_u] += (u - 0.5) * size
-        points[rows, tangent_v] += (v - 0.5) * size
+
+        # The selected faces' centres, computed as face_centers() does.
+        points = self.grid.cell_centers(self.voxel_indices[face_indices])
+        offsets = np.zeros_like(points)
+        offsets[rows, axes] = 0.5 * size * self.signs[face_indices]
+        points += offsets
+        tangents = _TANGENTS[axes]
+        points[rows, tangents[:, 0]] += (u - 0.5) * size
+        points[rows, tangents[:, 1]] += (v - 0.5) * size
         return points
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import distance_transform_cdt
 
 from repro.utils.blocks import block_ranges
+from repro.utils.filters import chessboard_distance
 
 
 @dataclass
@@ -67,11 +67,10 @@ class VoxelGrid:
         dtype that holds ``resolution``.  The occupancy must not be mutated
         in place after the first access.
         """
-        dtype = np.min_scalar_type(self.resolution)
         if self.occupancy.any():
-            distance = distance_transform_cdt(~self.occupancy, metric="chessboard")
-            distance = distance.astype(dtype)
+            distance = chessboard_distance(self.occupancy)
         else:
+            dtype = np.min_scalar_type(self.resolution)
             distance = np.full(self.occupancy.shape, self.resolution, dtype=dtype)
         distance.flags.writeable = False  # shared by every render of the grid
         return distance

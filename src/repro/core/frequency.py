@@ -16,8 +16,8 @@ spectrum is summarised.  A spectral-residual saliency map (Hou & Zhang,
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
+from repro.utils.filters import gaussian_filter
 from repro.utils.image import bbox_from_mask, crop_to_bbox, to_gray
 
 
@@ -107,9 +107,9 @@ def spectral_residual_saliency(image: np.ndarray, sigma: float = 2.5) -> np.ndar
     amplitude = np.abs(spectrum)
     phase = np.angle(spectrum)
     log_amplitude = np.log(amplitude + 1e-9)
-    residual = log_amplitude - gaussian_filter(log_amplitude, sigma=1.0, mode="wrap")
+    residual = log_amplitude - gaussian_filter(log_amplitude, 1.0, mode="wrap")
     saliency = np.abs(np.fft.ifft2(np.exp(residual + 1j * phase))) ** 2
-    saliency = gaussian_filter(saliency, sigma=sigma, mode="reflect")
+    saliency = gaussian_filter(saliency, sigma)
     maximum = saliency.max()
     if maximum > 0:
         saliency = saliency / maximum

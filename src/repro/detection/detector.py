@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.scenes.raytrace import RenderResult
+from repro.utils.filters import label
 from repro.utils.image import bbox_from_mask
 
 
@@ -81,7 +81,7 @@ class ConnectedComponentsDetector:
         image = np.asarray(getattr(view, "rgb", view), dtype=np.float64)
         difference = np.abs(image - self.background_color).max(axis=-1)
         foreground = difference > self.tolerance
-        labels, num_components = ndimage.label(foreground)
+        labels, num_components = label(foreground)
         detections = []
         next_id = -1
         for component in range(1, num_components + 1):

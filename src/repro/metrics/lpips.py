@@ -13,8 +13,8 @@ Table I orderings carry over.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve, gaussian_filter
 
+from repro.utils.filters import convolve, gaussian_filter
 from repro.utils.image import to_gray
 
 
@@ -35,20 +35,19 @@ def _gabor_kernel(size: int, theta: float, wavelength: float, sigma: float) -> n
 
 
 _ORIENTATIONS = (0.0, np.pi / 4.0, np.pi / 2.0, 3.0 * np.pi / 4.0)
-_FILTER_BANK = [
-    _gabor_kernel(size=7, theta=theta, wavelength=wavelength, sigma=2.0)
-    for theta in _ORIENTATIONS
-    for wavelength in (3.0, 6.0)
-]
+_FILTER_BANK = np.stack(
+    [
+        _gabor_kernel(size=7, theta=theta, wavelength=wavelength, sigma=2.0)
+        for theta in _ORIENTATIONS
+        for wavelength in (3.0, 6.0)
+    ]
+)
 
 
 def _feature_stack(image: np.ndarray) -> np.ndarray:
     """Stack of normalised filter responses for one grayscale image."""
-    responses = [convolve(image, kernel, mode="reflect") for kernel in _FILTER_BANK]
     grad_y, grad_x = np.gradient(image)
-    responses.append(grad_x)
-    responses.append(grad_y)
-    return np.stack(responses, axis=0)
+    return np.concatenate([convolve(image, _FILTER_BANK), np.stack([grad_x, grad_y])])
 
 
 def lpips_proxy(image_a: np.ndarray, image_b: np.ndarray, num_scales: int = 3) -> float:
@@ -79,8 +78,7 @@ def lpips_proxy(image_a: np.ndarray, image_b: np.ndarray, num_scales: int = 3) -
         total += float(np.mean(diff**2))
         scales += 1
         # Downsample by two (blur + stride) for the next scale.
-        gray_a = gaussian_filter(gray_a, sigma=1.0, mode="reflect")[::2, ::2]
-        gray_b = gaussian_filter(gray_b, sigma=1.0, mode="reflect")[::2, ::2]
+        gray_a, gray_b = gaussian_filter(np.stack([gray_a, gray_b]), 1.0)[:, ::2, ::2]
 
     if scales == 0:
         raise ValueError("lpips_proxy: images too small for any scale")

@@ -9,16 +9,9 @@ window, combined into luminance, contrast and structure terms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
+from repro.utils.filters import gaussian_filter
 from repro.utils.image import to_gray
-
-
-def _local_stats(image: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    mean = gaussian_filter(image, sigma=sigma, mode="reflect")
-    mean_sq = gaussian_filter(image * image, sigma=sigma, mode="reflect")
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    return mean, var
 
 
 def ssim(
@@ -58,9 +51,11 @@ def ssim(
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
 
-    mean_a, var_a = _local_stats(image_a, sigma)
-    mean_b, var_b = _local_stats(image_b, sigma)
-    mean_ab = gaussian_filter(image_a * image_b, sigma=sigma, mode="reflect")
+    # Local means of a, b, a^2, b^2 and ab, filtered as one stack.
+    moments = np.stack([image_a, image_b, image_a * image_a, image_b * image_b, image_a * image_b])
+    mean_a, mean_b, mean_sq_a, mean_sq_b, mean_ab = gaussian_filter(moments, sigma)
+    var_a = np.maximum(mean_sq_a - mean_a * mean_a, 0.0)
+    var_b = np.maximum(mean_sq_b - mean_b * mean_b, 0.0)
     covar = mean_ab - mean_a * mean_b
 
     numerator = (2.0 * mean_a * mean_b + c1) * (2.0 * covar + c2)

@@ -15,6 +15,7 @@ from repro.baking import (
     render_baked_multi,
     voxelize_field,
 )
+from repro.baking.meshing import _TANGENT_AXES
 from repro.baking.texture import LazyTexture
 from repro.baking.voxelize import VoxelGrid
 from repro.metrics import ssim
@@ -180,6 +181,45 @@ class TestMeshing:
         rows = np.arange(len(indices))
         # No displacement along the face normal axis.
         assert np.allclose(offsets[rows, faces.axes[indices]], 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        g=st.integers(2, 20),
+        count=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_face_points_match_all_face_oracle(self, g, count, seed):
+        """``face_points`` builds centres for the selected faces only; the
+        values are those of every face's centre, indexed afterwards."""
+        rng = np.random.default_rng(seed)
+        occupancy = rng.random((g, g, g)) < 0.4
+        origin = rng.normal(size=3)
+        grid = VoxelGrid(origin=origin, voxel_size=float(rng.uniform(0.01, 0.3)), resolution=g, occupancy=occupancy)
+        faces = extract_quad_faces(grid)
+        if faces.num_faces == 0:
+            return
+        indices = rng.integers(0, faces.num_faces, size=count)
+        u, v = rng.random(count), rng.random(count)
+        u[: count // 4] = 0.5  # (u - 0.5) * size is a signed zero on these
+        expected = face_points_oracle(faces, indices, u, v)
+        np.testing.assert_array_equal(
+            faces.face_points(indices, u, v).view(np.int64), expected.view(np.int64)
+        )
+
+
+def face_points_oracle(faces, face_indices, u, v):
+    """``QuadFaceSet.face_points`` as it was: centres of all faces, then the
+    per-face tangent pairs looked up in Python."""
+    centers = faces.face_centers()[face_indices]
+    axes = faces.axes[face_indices]
+    size = faces.grid.voxel_size
+    points = centers.copy()
+    tangent_u = np.array([_TANGENT_AXES[axis][0] for axis in axes], dtype=int)
+    tangent_v = np.array([_TANGENT_AXES[axis][1] for axis in axes], dtype=int)
+    rows = np.arange(len(face_indices))
+    points[rows, tangent_u] += (u - 0.5) * size
+    points[rows, tangent_v] += (v - 0.5) * size
+    return points
 
 
 class TestTextures:

@@ -90,29 +90,39 @@ class TestQualityModel:
             QualityModel.fit([Configuration(16, 1), Configuration(32, 1)], np.array([0.5, 0.6]))
 
     def test_degenerate_measurements_fit_without_warnings(self):
-        """Constant / collinear measurements make curve_fit's covariance
-        inestimable; the fit must fall back deterministically instead of
-        emitting an OptimizeWarning."""
-        configs = list(SPACE.profiling_configs())
+        """Four samples for four parameters leave curve_fit no degrees of
+        freedom, so its covariance is inestimable; the fit must take the
+        deterministic linear fallback instead of emitting an
+        OptimizeWarning or keeping scipy's parameters."""
+        configs = [Configuration(16, 1), Configuration(32, 2), Configuration(64, 4), Configuration(96, 8)]
         constant = np.full(len(configs), 0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = QualityModel.fit(configs, constant)
-        assert model.predict(Configuration(64, 4)) == pytest.approx(0.8, abs=0.05)
-        # The fallback is deterministic: fitting twice gives the same model.
+        assert (model.a, model.b) == (8.0, 1.0)  # the linear fallback
+        assert model.predict(Configuration(64, 4)) == pytest.approx(0.8, abs=1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = QualityModel.fit(configs, constant)
-        assert (model.qmax, model.k, model.a, model.b) == (
-            again.qmax, again.k, again.a, again.b,
-        )
+        assert again == model
 
     def test_fitter_on_degenerate_measure_emits_no_warnings(self):
-        fitter = ProfileFitter(SPACE)
+        # A 2x2 space profiles exactly four configurations.
+        space = ConfigurationSpace(granularities=(16, 64), patch_sizes=(1, 4))
+        assert len(space.profiling_configs()) == 4
+        fitter = ProfileFitter(space)
+
+        def flat(config):
+            return 0.5, 1.0 + config.granularity
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            profile = fitter.fit("flat", lambda config: (0.5, 1.0 + config.granularity))
-        assert profile.predict_quality(Configuration(64, 4)) == pytest.approx(0.5, abs=0.05)
+            profile = fitter.fit("flat", flat)
+            again = fitter.fit("flat", flat)
+        model = profile.quality_model
+        assert (model.a, model.b) == (8.0, 1.0)  # the linear fallback
+        assert again.quality_model == model
+        assert profile.predict_quality(Configuration(64, 4)) == pytest.approx(0.5, abs=1e-9)
 
     @given(
         qmax=st.floats(0.8, 1.0),
@@ -295,6 +305,35 @@ def optimize_modules():
 print(json.dumps(optimize_modules()))
 """
 
+#: Segments a tiny dataset, bakes its first sub-scene with the skip table
+#: built, renders and scores one baked frame, then prints every loaded
+#: ``scipy`` module as JSON.
+_REAL_TIME_PATH_PROBE = """
+import json, sys
+from repro import NeRFlexPipeline, PipelineConfig
+from repro.baking.baked_model import BakedMultiModel, bake_field
+from repro.device.models import IPHONE_13
+from repro.metrics import lpips_proxy, ssim
+from repro.render.engine import RenderEngine
+from repro.scenes.cameras import orbit_cameras
+from repro.scenes.dataset import generate_dataset
+from repro.scenes.library import make_realworld_scene
+
+scene = make_realworld_scene(seed=0, num_objects=2)
+dataset = generate_dataset(scene, num_train=2, num_test=1, resolution=32, trajectory="forward", name="probe")
+pipeline = NeRFlexPipeline(IPHONE_13, PipelineConfig())
+segmentation = pipeline.stage_segment(dataset)
+sub_scene = segmentation.sub_scenes[0]
+field = pipeline._build_field(dataset.scene.subset(sub_scene.instance_ids), sub_scene)
+model = bake_field(field, 16, 1, name=sub_scene.name, materialize_textures=True)
+assert model.grid.skip_distance.max() > 0
+camera = orbit_cameras(scene.center, radius=1.3 * scene.extent, count=1, width=16, height=16)[0]
+frame = RenderEngine().render_baked_views(BakedMultiModel([model]), [camera])[0]
+assert frame.rgb.shape == (16, 16, 3)
+assert ssim(frame.rgb, frame.rgb) > 0.99 and lpips_proxy(frame.rgb, frame.rgb) < 1e-9
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
 _FIT_PROBE = """
 import dataclasses
 from repro.core.config_space import Configuration
@@ -329,6 +368,11 @@ class TestImportBoundary:
 
     def test_baked_frame_leaves_scipy_optimize_unloaded(self):
         assert _run_probe(_BAKED_FRAME_PROBE) == [[]]
+
+    def test_segment_bake_and_baked_frame_load_no_scipy(self):
+        """The real-time path (segmentation, bake, skip table, frame and
+        its quality metrics) runs on numpy alone."""
+        assert _run_probe(_REAL_TIME_PATH_PROBE) == [[]]
 
     def test_first_fit_loads_scipy_optimize_and_matches_in_process(self):
         probe = _BAKED_FRAME_PROBE + _FIT_PROBE.replace(
