@@ -69,15 +69,16 @@ def make_simulated_scene(index: int, seed: int = 0, spacing: float = 1.15) -> Sc
 def _make_room_backdrop(half_width: float, half_depth: float, height: float) -> SceneObject:
     """Floor plus back wall used by the real-world style scenes."""
 
+    # Floor, then the back wall.
+    boxes = prim.box_table(
+        [
+            ((0.0, -0.65, 0.0), (half_width, 0.05, half_depth)),
+            ((0.0, height / 2.0 - 0.65, -half_depth), (half_width, height / 2.0, 0.05)),
+        ]
+    )
+
     def sdf(points: np.ndarray) -> np.ndarray:
-        floor = prim.sdf_box(
-            points, (0.0, -0.65, 0.0), (half_width, 0.05, half_depth)
-        )
-        wall = prim.sdf_box(
-            points,
-            (0.0, height / 2.0 - 0.65, -half_depth),
-            (half_width, height / 2.0, 0.05),
-        )
+        floor, wall = boxes(*prim.columns(points))
         return prim.sdf_union(floor, wall)
 
     def albedo(points: np.ndarray) -> np.ndarray:

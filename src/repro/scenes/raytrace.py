@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.scenes.cameras import Camera
 from repro.scenes.scene import Scene
+from repro.utils.blocks import block_ranges
 
 #: Default directional light used for Lambertian shading.
 _LIGHT_DIRECTION = np.array([0.45, 0.8, 0.35])
@@ -54,13 +55,34 @@ class RenderResult:
 
 
 def estimate_normals(field, points: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
-    """Central-difference surface normals of a field's SDF."""
+    """Central-difference surface normals of a field's SDF.
+
+    The six offset points of each block of ``block_ranges(n, item_points=6)``
+    points go to the field as one ``sdf`` call, ordered ``+x, -x, +y, -y,
+    +z, -z``.  Each is ``p + offset`` or ``p - offset`` with the whole
+    offset vector, zeros included, as six separate calls would build it,
+    so signed zeros come out the same.  A one-point query keeps six calls:
+    stacked, its single row would become a six-row product, which NumPy
+    rounds differently from a one-row product (see
+    :mod:`repro.utils.blocks`).
+    """
     points = np.asarray(points, dtype=np.float64)
-    normals = np.zeros_like(points)
+    offsets = np.zeros((3, 3))
     for axis in range(3):
-        offset = np.zeros(3)
-        offset[axis] = epsilon
-        normals[:, axis] = field.sdf(points + offset) - field.sdf(points - offset)
+        offsets[axis, axis] = epsilon
+    normals = np.zeros_like(points)
+    if len(points) == 1:
+        for axis, offset in enumerate(offsets):
+            normals[:, axis] = field.sdf(points + offset) - field.sdf(points - offset)
+    else:
+        for start, stop in block_ranges(len(points), item_points=6):
+            block = points[start:stop]
+            queries = np.empty((6,) + block.shape)
+            for axis, offset in enumerate(offsets):
+                np.add(block, offset, out=queries[2 * axis])
+                np.subtract(block, offset, out=queries[2 * axis + 1])
+            distances = field.sdf(queries.reshape(-1, 3)).reshape(6, -1)
+            normals[start:stop] = (distances[0::2] - distances[1::2]).T
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return normals / norms

@@ -63,9 +63,12 @@ def gaussian_filter(images: np.ndarray, sigma: float, mode: str = "reflect") -> 
         pad[axis] = (radius, radius)
         padded = np.pad(out, pad, mode=_PAD_MODES[mode])
         out = _shifted(padded, axis, radius, length) * weights[radius]
+        pair = np.empty_like(out)
         for offset in range(radius, 0, -1):
-            pair = _shifted(padded, axis, radius - offset, length) + _shifted(
-                padded, axis, radius + offset, length
+            np.add(
+                _shifted(padded, axis, radius - offset, length),
+                _shifted(padded, axis, radius + offset, length),
+                out=pair,
             )
             pair *= weights[radius - offset]
             out += pair

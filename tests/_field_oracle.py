@@ -5,8 +5,11 @@
 :meth:`repro.render.engine.RenderEngine.volume_render_views` query their
 fields in cache-sized blocks (:mod:`repro.utils.blocks`).  This module keeps
 each of them as it was before: every query point built up front and handed
-to the field in one call.  The tests demand bit-equal results from the
-blocked versions.  Do not optimise it.
+to the field in one call.  :func:`estimate_normals_six_calls` keeps the
+central-difference normals as six separate queries, where
+:func:`repro.scenes.raytrace.estimate_normals` stacks them into one.  The
+tests demand bit-equal results from the blocked versions.  Do not optimise
+it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,20 @@ from repro.baking.voxelize import _LIPSCHITZ_SAFETY, _REFINE_FACTOR, _cubic_boun
 from repro.render.engine import _stack_camera_rays
 from repro.render.kernels import get_kernels
 from repro.nerf.sampling import stratified_samples
-from repro.scenes.raytrace import field_radiance
+from repro.scenes.raytrace import shade_lambertian
+
+
+def estimate_normals_six_calls(field, points, epsilon=1e-3):
+    """Central-difference normals, one ``sdf`` call per offset."""
+    points = np.asarray(points, dtype=np.float64)
+    normals = np.zeros_like(points)
+    for axis in range(3):
+        offset = np.zeros(3)
+        offset[axis] = epsilon
+        normals[:, axis] = field.sdf(points + offset) - field.sdf(points - offset)
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return normals / norms
 
 
 def _lattice_centers(lo, spacing, resolution):
@@ -116,7 +132,10 @@ def volume_render(field, cameras, num_samples, background=(1.0, 1.0, 1.0),
     hit_rows = np.flatnonzero(ray_alpha > 0.05)
     surface_points = origins[hit_rows] + ray_depth[hit_rows, None] * directions[hit_rows]
     mix = ray_alpha[hit_rows, None]
-    rgb[hit_rows] = mix * field_radiance(field, surface_points) + (1.0 - mix) * bg
+    radiance = shade_lambertian(
+        field.albedo(surface_points), estimate_normals_six_calls(field, surface_points)
+    )
+    rgb[hit_rows] = mix * radiance + (1.0 - mix) * bg
     depth[hit_rows] = ray_depth[hit_rows]
     hit = ray_alpha > 0.5
     return np.clip(rgb, 0.0, 1.0), np.where(hit, depth, np.inf), hit

@@ -15,6 +15,7 @@ from repro.nerf.degradation import DegradedField
 from repro.render import RenderEngine
 from repro.scenes.cameras import orbit_cameras
 from repro.scenes.objects import list_objects, make_object
+from repro.scenes.raytrace import estimate_normals
 from repro.scenes.scene import PlacedObject
 from repro.utils.blocks import FIELD_BLOCK, block_ranges
 from tests import _field_oracle as oracle
@@ -161,6 +162,43 @@ class TestConsumersMatchOneCall:
         np.testing.assert_array_equal(
             np.concatenate([r.hit_mask.ravel() for r in results]), hit
         )
+
+
+class TestStackedNormals:
+    """``estimate_normals`` sends the six offsets of each block as one query;
+    the six-call oracle is the reference, on fields with floaters (whose
+    hash and noise carry the row-count-sensitive matmuls)."""
+
+    @staticmethod
+    def _points(field, count, seed):
+        lo, hi = np.asarray(field.bounds_min), np.asarray(field.bounds_max)
+        points = np.random.default_rng(seed).uniform(lo, hi, size=(count, 3))
+        points[::2] = np.round(points[::2] * 64) / 64  # grid-snapped coordinates
+        points[1::7, 1] = -0.0
+        return points
+
+    @pytest.mark.parametrize(
+        "count", [2, FIELD_BLOCK // 6, FIELD_BLOCK // 6 + 1, 2 * (FIELD_BLOCK // 6) + 1]
+    )
+    def test_blocks_match_six_calls(self, floater_fields, floater_scene_field, count):
+        for field in [floater_scene_field] + floater_fields[::3]:
+            points = self._points(field, count, seed=count)
+            assert_bits_equal(
+                estimate_normals(field, points), oracle.estimate_normals_six_calls(field, points)
+            )
+
+    def test_one_point_queries_match_six_calls(self, floater_fields):
+        """A one-point query keeps six one-row calls: stacked into six rows,
+        the ship's degradation matmuls round differently."""
+        ship = floater_fields[list_objects().index("ship")]
+        points = self._points(ship, 400, seed=7)
+        floating = ship._floater_sdf(points, ship.base.sdf(points)) < 10.0 * ship.extent
+        assert floating.any()
+        for point in points:
+            point = point[None, :]
+            assert_bits_equal(
+                estimate_normals(ship, point), oracle.estimate_normals_six_calls(ship, point)
+            )
 
 
 class TestWorkingSet:

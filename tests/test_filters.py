@@ -68,6 +68,16 @@ class TestGaussianFilter:
         for image, result in zip(stack, filtered):
             assert_bits_equal(result, ndimage.gaussian_filter(image, 1.5, mode="reflect"))
 
+    @pytest.mark.parametrize("mode", ["reflect", "wrap"])
+    @pytest.mark.parametrize("shape, sigma", [((128, 128), 1.5), ((64, 64), 3.0)])
+    def test_stack_through_reused_pair_buffer(self, mode, shape, sigma):
+        """Five-image stacks (the SSIM moments) at the sizes the metrics use:
+        every tap pair of an axis pass goes through one buffer."""
+        stack = np.stack([random_image(seed, *shape, 0.1) for seed in range(5)])
+        filtered = gaussian_filter(stack, sigma, mode)
+        for image, result in zip(stack, filtered):
+            assert_bits_equal(result, ndimage.gaussian_filter(image, sigma, mode=mode))
+
 
 class TestConvolve:
     @pytest.mark.parametrize("size", [8, 13, 48, 64])

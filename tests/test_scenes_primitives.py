@@ -1,5 +1,7 @@
 """Tests for SDF primitives, objects and scene composition."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.scenes import library
-from repro.scenes import objects as objects_module
 from repro.scenes import primitives as prim
 from repro.scenes.objects import (
     OBJECT_LIBRARY,
@@ -16,6 +17,8 @@ from repro.scenes.objects import (
     make_object,
 )
 from repro.scenes.scene import PlacedObject, Scene, compose_scene
+from repro.utils.blocks import FIELD_BLOCK
+from tests import _object_oracle as object_oracle
 from tests import _sdf_oracle as oracle
 
 _POINTS = st.lists(
@@ -248,21 +251,15 @@ class TestObjects:
         assert not np.any(inside & outside_box), f"{name} spills outside its bounds"
 
     @pytest.mark.parametrize("name", list_objects() + ["backdrop"])
-    def test_sdf_and_albedo_match_oracle_primitives(self, name, monkeypatch):
-        """Every library object gives the same bits on the column-wise
-        primitives as on the pre-rewrite oracle."""
-        if name == "backdrop":
-            obj = library._make_room_backdrop(2.4, 1.4, 2.4)
-        else:
-            obj = make_object(name)
+    def test_sdf_and_albedo_match_oracle_primitives(self, name):
+        """Every library object's primitive tables give the bits of the
+        one-primitive-per-call closures on the pre-rewrite primitives."""
+        obj, reference = _library_object(name), object_oracle.OBJECTS[name]()
         points = np.random.default_rng(3).uniform(
             obj.bounds_min - 0.25, obj.bounds_max + 0.25, size=(3000, 3)
         )
-        sdf, albedo = obj.sdf(points), obj.albedo(points)
-        monkeypatch.setattr(objects_module, "prim", oracle)
-        monkeypatch.setattr(library, "prim", oracle)
-        _assert_bit_equal(sdf, obj.sdf(points))
-        _assert_bit_equal(albedo, obj.albedo(points))
+        _assert_bit_equal(obj.sdf(points), reference.sdf(points))
+        _assert_bit_equal(obj.albedo(points), reference.albedo(points))
 
     def test_complexity_ranks_follow_paper_order(self):
         ranks = [make_object(name).complexity_rank for name in REFERENCE_OBJECT_NAMES]
@@ -272,6 +269,119 @@ class TestObjects:
     def test_texture_frequency_increases_with_complexity(self):
         freqs = [make_object(name).texture_frequency for name in REFERENCE_OBJECT_NAMES]
         assert freqs[0] < freqs[-1]
+
+
+def _library_object(name: str):
+    if name == "backdrop":
+        return library._make_room_backdrop(2.4, 1.4, 2.4)
+    return make_object(name)
+
+
+def _object_parts(obj) -> tuple:
+    """The primitive tables, capsules and repetition periods an object's
+    SDF and albedo read (module globals or closure cells)."""
+    parts = []
+    for fn in (obj.sdf_fn, obj.albedo_fn):
+        found = inspect.getclosurevars(fn)
+        parts += [*found.nonlocals.items(), *found.globals.items()]
+    tables = {id(v): v for _, v in parts if isinstance(v, prim.PrimitiveTable)}
+    capsules = {id(v): v for _, v in parts if isinstance(v, prim.Capsule)}
+    periods = {v for name, v in parts if name.endswith("_PERIOD")}
+    return list(tables.values()), list(capsules.values()), sorted(periods)
+
+
+def _object_specials(obj, periodic: bool = True) -> tuple:
+    """Per axis, the coordinates that put a point exactly on a primitive's
+    centre plane or face: every table row's centre ``c`` and ``c +/- e`` for
+    each of its extents, capsule endpoints +/- radius, the signed zeros and,
+    when ``periodic``, the same offsets from multiples of each repetition
+    period (cell centres and edges)."""
+    tables, capsules, periods = _object_parts(obj)
+    specials = [{0.0, -0.0}, {0.0, -0.0}, {0.0, -0.0}]
+    for table in tables:
+        for row in np.hstack(table.columns):
+            extents = [0.0, *row[3:]]
+            for axis in range(3):
+                bases = [row[axis]]
+                if periodic:
+                    bases += [k * p for p in periods for k in np.arange(-12, 13) / 2]
+                for base in bases:
+                    for extent in extents:
+                        specials[axis] |= {base + extent, base - extent}
+    for capsule in capsules:
+        for end in (capsule.a, capsule.a + capsule.ba):
+            for axis in range(3):
+                radius = capsule.radius
+                specials[axis] |= {end[axis], end[axis] + radius, end[axis] - radius}
+    return tuple(sorted(values) for values in specials), [len(table) for table in tables]
+
+
+@st.composite
+def _object_points(draw, specials: tuple, bounds: tuple) -> np.ndarray:
+    """1, 2 or 9-48 points whose coordinates are on-face specials, signed
+    zeros or ordinary values around the object."""
+    count = draw(st.one_of(st.sampled_from((1, 2)), st.integers(9, 48)))
+    columns = []
+    for axis, values in enumerate(specials):
+        lo, hi = bounds[0][axis] - 0.3, bounds[1][axis] + 0.3
+        elements = st.one_of(
+            st.sampled_from(values), st.sampled_from((0.0, -0.0)), st.floats(lo, hi)
+        )
+        columns.append(draw(hnp.arrays(np.float64, count, elements=elements)))
+    return np.stack(columns, axis=1)
+
+
+class TestObjectTablesMatchOracle:
+    """The primitive tables give the closures' bits on signed zeros and
+    on-face coordinates, on one and two points, and on both sides of every
+    point count where a table's row grouping changes."""
+
+    @pytest.mark.parametrize("name", list_objects() + ["backdrop"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sdf_and_albedo(self, name, data):
+        obj, reference = _library_object(name), object_oracle.OBJECTS[name]()
+        specials, table_rows = _object_specials(obj)
+        bounds = (obj.bounds_min, obj.bounds_max)
+        drawn = data.draw(_object_points(specials, bounds))
+        batches = [drawn]
+        # Embed the drawn points in batches that straddle each grouping
+        # edge: a K-row table is one group up to FIELD_BLOCK // K points.
+        sizes = sorted({FIELD_BLOCK // k + d for k in table_rows if k > 1 for d in (-1, 0, 1)})
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        for size in sizes:
+            filler = rng.uniform(bounds[0] - 0.3, bounds[1] + 0.3, size=(size, 3))
+            filler[: len(drawn)] = drawn
+            batches.append(filler)
+        for points in batches:
+            _assert_bit_equal(obj.sdf(points), reference.sdf(points))
+            _assert_bit_equal(obj.albedo(points), reference.albedo(points))
+
+    @pytest.mark.parametrize("name", list_objects() + ["backdrop"])
+    def test_on_face_lattice(self, name):
+        """Every combination of per-axis on-face coordinates.  Points where
+        two surfaces meet are where a subtraction's ``-0.0`` can tie another
+        operand's ``+0.0``, the only place the order of a union's operands
+        shows in the bits."""
+        obj, reference = _library_object(name), object_oracle.OBJECTS[name]()
+        specials, _ = _object_specials(obj, periodic=False)
+        points = np.stack(np.meshgrid(*specials, indexing="ij"), axis=-1).reshape(-1, 3)
+        distances = obj.sdf(points)
+        _assert_bit_equal(distances, reference.sdf(points))
+        _assert_bit_equal(obj.albedo(points), reference.albedo(points))
+        # The subtractions that cut into their base (the chair's slots never do).
+        if name in ("lego", "mug", "ship"):
+            assert np.any((distances == 0.0) & np.signbit(distances))
+
+    def test_specials_reach_every_part(self):
+        """The on-face coordinates come from the object's own tables."""
+        tables, capsules, periods = _object_parts(make_object("lego"))
+        assert sorted(len(table) for table in tables) == [1, 2, 6]
+        assert periods == [0.07, 0.09]
+        tables, capsules, _ = _object_parts(make_object("ship"))
+        assert len(capsules) == 1 and sorted(len(t) for t in tables) == [1, 2, 2, 7]
+        tables, _, _ = _object_parts(_library_object("backdrop"))
+        assert [len(table) for table in tables] == [2]
 
 
 class TestSceneComposition:
