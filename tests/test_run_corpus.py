@@ -1,7 +1,10 @@
-"""Golden corpus-parity tier: the thread-pool corpus run vs the sequential path.
+"""Tests of the corpus scheduler (:func:`repro.core.pipeline.run_corpus`).
 
-Pins the bit-identity contract: a corpus of independent scenes run
-through :func:`repro.core.pipeline.run_corpus` on a pool of 1, 2 and 5
+Two tiers.  On stand-in pipelines whose stages do no rendering: identical
+results in job order for every worker count against the sequential
+reference, genuine overlap of independent jobs, and error propagation
+from a job to the caller.  On the real pipeline (the golden corpus-parity
+tier): a corpus of independent scenes run on a pool of 1, 2 and 5
 workers produces report JSON (profile state included) bit-identical to
 the sequential ``run()`` loop; concurrent jobs may share neither a
 pipeline nor a render engine; and report stage splits are
@@ -10,16 +13,87 @@ mutation-isolated snapshots.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.core.pipeline import NeRFlexPipeline, run_corpus
+from repro.core.pipeline import NeRFlexPipeline, PipelineConfig, run_corpus
+from repro.device.models import DeviceProfile
 from repro.render.engine import RenderEngine
 from repro.scenes.dataset import generate_dataset
 from repro.scenes.objects import make_cube, make_sphere
 from repro.scenes.scene import PlacedObject, Scene
 
 from tests._golden_driver import GOLDEN_DEVICE, golden_config, report_record
+
+# ---------------------------------------------------------------------------
+# The pool on stand-in pipelines
+# ---------------------------------------------------------------------------
+
+STUB_DEVICE = DeviceProfile(
+    name="StubPhone", memory_budget_mb=100.0, hard_memory_limit_mb=100.0
+)
+
+
+class StubPipeline(NeRFlexPipeline):
+    """A real ``run()`` over stand-in stages: ``prepare`` sleeps for
+    ``nap`` seconds, ``bake`` and ``deploy`` wrap their input, and a
+    dataset named ``"bad"`` fails in ``deploy``."""
+
+    def __init__(self, nap: float = 0.0) -> None:
+        super().__init__(STUB_DEVICE, PipelineConfig(backend="serial"))
+        self.nap = nap
+
+    def prepare(self, dataset):
+        time.sleep(self.nap)
+        return f"prepared({dataset})"
+
+    def bake(self, preparation):
+        return f"baked({preparation})"
+
+    def deploy(self, multi_model, dataset, preparation=None, method="NeRFlex"):
+        if dataset == "bad":
+            raise RuntimeError("job failed")
+        return f"report({multi_model})"
+
+
+def stub_jobs(datasets, nap: float = 0.0) -> list:
+    return [(StubPipeline(nap), dataset) for dataset in datasets]
+
+
+class TestCorpusPool:
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_results_identical_for_any_worker_count(self, workers):
+        datasets = ["x", "y", "z", "w"]
+        reference = run_corpus(stub_jobs(datasets), workers=0)
+        assert reference[0] == (
+            "prepared(x)", "baked(prepared(x))", "report(baked(prepared(x)))",
+        )
+        assert run_corpus(stub_jobs(datasets), workers=workers) == reference
+
+    def test_independent_jobs_overlap(self):
+        """Six independent 0.3s sleeping jobs on 3 workers finish well
+        under the 1.8s serial time.  Sleeps do not compete for a CPU, so
+        this pins the pool's concurrency even on a one-core host."""
+        datasets = [f"scene{index}" for index in range(6)]
+        start = time.perf_counter()
+        runs = run_corpus(stub_jobs(datasets, nap=0.3), workers=3)
+        elapsed = time.perf_counter() - start
+        assert [preparation for preparation, _, _ in runs] == [
+            f"prepared({dataset})" for dataset in datasets
+        ]
+        assert elapsed < 1.4  # serial would be ~1.8s
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_job_error_propagates(self, workers):
+        with pytest.raises(RuntimeError, match="job failed"):
+            run_corpus(stub_jobs(["ok", "bad", "ok"]), workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# Golden corpus parity on the real pipeline
+# ---------------------------------------------------------------------------
 
 #: The corpus: three tiny scenes with differing object counts, so the
 #: scenes' run times differ and pool jobs finish out of job order.
@@ -62,13 +136,13 @@ def corpus_records(runs) -> list:
     return [report_record(run) for run in runs]
 
 
-class TestCorpusDagParity:
+class TestCorpusParity:
     @pytest.fixture(scope="class")
     def sequential_records(self):
         return corpus_records(run_corpus(corpus_jobs(), workers=0))
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_dag_corpus_matches_sequential_bit_identically(
+    def test_pool_corpus_matches_sequential_bit_identically(
         self, sequential_records, workers
     ):
         records = corpus_records(run_corpus(corpus_jobs(), workers=workers))
@@ -79,7 +153,7 @@ class TestCorpusDagParity:
         names = [preparation.dataset_name for preparation, _, _ in runs]
         assert names == sorted(CORPUS_SPECS)
 
-    def test_every_stage_timed_under_dag(self):
+    def test_every_stage_timed_under_the_pool(self):
         runs = run_corpus(corpus_jobs(), workers=2)
         for _, _, report in runs:
             assert sorted(report.stage_seconds) == [
@@ -102,7 +176,6 @@ class TestCorpusDagParity:
                 workers=2,
             )
 
-
     def test_shared_engine_raises(self):
         # Engine attribution is instance state: two concurrent scenes on
         # one engine would credit each other's render:<stage> seconds.
@@ -121,7 +194,6 @@ class TestCorpusDagParity:
 
 
 class TestReportFixes:
-
     def test_stage_seconds_snapshot_is_mutation_isolated(self):
         # Satellite fix: the report's stage split must be a frozen snapshot
         # — later timer activity on the same preparation (a re-bake, a
