@@ -3,24 +3,19 @@
 Usage::
 
     python -m repro.analysis [paths...]        # lint (default: src tests benchmarks)
-    python -m repro.analysis --json ...        # machine-readable findings
-    python -m repro.analysis --write-baseline  # accept current findings
     python -m repro.analysis --env-table       # print the env-var reference table
     python -m repro.analysis --list-rules      # print the rule catalog
-    python -m repro.analysis --waivers ...     # audit every inline waiver
 
-Exit status: 0 when every finding is baselined or inline-allowed, 1 when
-any new finding exists, 2 on usage errors.  CI's ``lint`` job runs the
-default invocation from the repository root.
+Exit status: 0 when there is no finding, 1 when any finding exists, 2 on
+usage errors.  CI's ``lint`` job runs the default invocation from the
+repository root.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.engine import analyze_paths
 from repro.analysis.rules import all_rules
 from repro.config.env import env_table_markdown
@@ -31,25 +26,12 @@ DEFAULT_PATHS = ("src", "tests", "benchmarks")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AST lint of the project's determinism, fork-safety, "
-        "lock-discipline and env-hygiene invariants.",
+        description="AST lint of the project's seeding, fork-safety and "
+        "env-hygiene invariants.",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
         help=f"files/directories to lint (default: {' '.join(DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE_NAME, metavar="PATH",
-        help="baseline file of accepted findings (default: "
-        f"{DEFAULT_BASELINE_NAME}; a missing file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write every current finding to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as JSON on stdout",
     )
     parser.add_argument(
         "--env-table", action="store_true",
@@ -58,11 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--waivers", action="store_true",
-        help="audit every inline '# repro-analysis: allow=...' waiver: "
-        "location, waived rules, suppression count and reason",
     )
     return parser
 
@@ -79,64 +56,13 @@ def main(argv=None) -> int:
             print(f"{rule.rule_id}  {rule.severity:<7}  {rule.title}")
         return 0
 
-    try:
-        baseline = Baseline.load(args.baseline)
-    except (ValueError, OSError) as error:
-        print(f"error: cannot read baseline {args.baseline}: {error}",
-              file=sys.stderr)
-        return 2
-
-    result = analyze_paths(args.paths, rules, baseline=baseline)
-
-    if args.waivers:
-        for waiver in sorted(result.waivers, key=lambda w: (w.path, w.line)):
-            rule_list = ",".join(sorted(waiver.rules))
-            reason = waiver.reason or "(no reason given)"
-            print(
-                f"{waiver.path}:{waiver.line}: allow={rule_list} "
-                f"suppresses {waiver.suppressed} finding(s) — {reason}"
-            )
-        print(f"{len(result.waivers)} active waiver(s) "
-              f"({result.files_checked} files checked)")
-        return 0
-
-    if args.write_baseline:
-        updated = Baseline.from_findings(
-            list(result.findings) + list(result.baselined),
-            reason="TODO: justify this accepted finding",
-        )
-        # Keep the human-written reasons of entries that still match.
-        previous = {entry.key(): entry for entry in baseline.entries}
-        updated.entries = [
-            previous.get(entry.key(), entry) for entry in updated.entries
-        ]
-        updated.save(args.baseline)
-        print(
-            f"wrote {len(updated)} accepted finding(s) to {args.baseline} "
-            f"({result.files_checked} files checked)"
-        )
-        return 0
-
-    if args.as_json:
-        print(json.dumps(result.as_dict(rules), indent=2))
-        return result.exit_code
-
+    result = analyze_paths(args.paths, rules)
     for finding in result.findings:
         print(finding.format())
-    summary = (
+    print(
         f"{result.files_checked} files checked: "
-        f"{len(result.findings)} new finding(s), "
-        f"{len(result.baselined)} baselined"
+        f"{len(result.findings)} finding(s)"
     )
-    if result.findings:
-        print(summary)
-        print(
-            "fix the findings, waive one deliberately with an inline "
-            "'# repro-analysis: allow=<rule> <reason>' comment, or accept "
-            "pre-existing debt via --write-baseline (with a reason)."
-        )
-    else:
-        print(summary)
     return result.exit_code
 
 

@@ -16,14 +16,11 @@ This module builds the interprocedural layer those rules lack:
   nested function, or merely loads ``g``'s name (passing a callable
   along counts — that is exactly how tasks reach workers).  The graph is
   deliberately over-approximate: a missing edge hides a real hazard, a
-  spurious one costs a waiver with a reason.
-* **Scopes** — :func:`worker_shipped_scope` closes over every callable
-  passed to ``Backend.map(...)`` / ``WorkerHost.run(...)`` (including
-  factory calls in task position: the factory and everything it defines
-  are shipped); :func:`concurrent_scope` additionally closes over every
-  callable passed to a thread pool's ``map(...)`` / ``submit(...)`` —
-  the thread backend's tasks and ``run_corpus``'s whole-scene jobs run
-  concurrently in one process.
+  spurious one costs a restructured call site.
+* **The shipped scope** — :func:`worker_shipped_scope` closes over
+  every callable passed to ``Backend.map(...)`` / ``WorkerHost.run(...)``
+  (including factory calls in task position: the factory and everything
+  it defines are shipped).
 
 Reachability is reported with its witness chain (``root -> a -> b``) so
 a finding names *how* the hazard is reachable, not just that it is.
@@ -287,8 +284,6 @@ class CallGraph:
     edges: dict = field(default_factory=dict)
     #: qualified names of callables passed to Backend.map / WorkerHost.run
     shipped_entries: tuple = ()
-    #: qualified names of callables passed to a thread pool's map / submit
-    pool_entries: tuple = ()
 
     def reachable(self, roots) -> dict:
         """Worklist closure from ``roots``: qualified name -> witness chain
@@ -320,18 +315,6 @@ def _is_worker_dispatch(call) -> bool:
     return func.attr == "run" and "host" in receiver
 
 
-def _is_pool_dispatch(call) -> bool:
-    """``<...pool>.map(fn, ...)`` / ``<...executor>.submit(fn, ...)``: a
-    thread pool runs its first argument concurrently in this process."""
-    func = call.func
-    if not isinstance(func, ast.Attribute) or not call.args:
-        return False
-    receiver = (dotted_name(func.value) or "").lower()
-    return func.attr in ("map", "submit") and (
-        "pool" in receiver or "executor" in receiver
-    )
-
-
 def _entry_targets(resolver, expr) -> list:
     """Qualified names an entry expression (task argument) denotes.
 
@@ -349,7 +332,7 @@ def build_call_graph(modules) -> CallGraph:
     """The reference graph over every function in the context list."""
     index = build_index(modules)
     graph = CallGraph(index=index)
-    shipped, pooled = set(), set()
+    shipped = set()
     for qualname in sorted(index.functions):
         info = index.functions[qualname]
         resolver = _Resolver(index, info)
@@ -368,8 +351,6 @@ def build_call_graph(modules) -> CallGraph:
                     callees.add(target)
                 if _is_worker_dispatch(node):
                     shipped.update(_entry_targets(resolver, node.args[0]))
-                if _is_pool_dispatch(node):
-                    pooled.update(_entry_targets(resolver, node.args[0]))
             elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                 getattr(node, "ctx", None), ast.Load
             ):
@@ -381,7 +362,6 @@ def build_call_graph(modules) -> CallGraph:
         callees.discard(qualname)
         graph.edges[qualname] = tuple(sorted(callees))
     graph.shipped_entries = tuple(sorted(shipped))
-    graph.pool_entries = tuple(sorted(pooled))
     return graph
 
 
@@ -389,13 +369,6 @@ def worker_shipped_scope(graph: CallGraph) -> dict:
     """Qualified name -> witness chain, for every function transitively
     reachable from a callable shipped to ``Backend.map``/``WorkerHost.run``."""
     return graph.reachable(graph.shipped_entries)
-
-
-def concurrent_scope(graph: CallGraph) -> dict:
-    """Qualified name -> witness chain, for every function that can run
-    concurrently in one process: the worker-shipped closure (thread
-    backend) unioned with the closure of every thread-pool job."""
-    return graph.reachable(graph.shipped_entries + graph.pool_entries)
 
 
 def format_chain(chain) -> str:

@@ -1,16 +1,10 @@
-"""The AST lint engine: findings, rule protocol, file walking, suppression.
+"""The AST lint engine: findings, rule protocol, file walking.
 
 The engine is deliberately small: a :class:`Rule` receives one parsed
 module (:class:`ModuleContext`) and yields :class:`Finding` objects; the
-engine walks the requested paths, parses each ``*.py`` once, runs every
-registered rule over it, and applies the two suppression layers —
-
-* **inline allows** — a ``# repro-analysis: allow=REP-X123 <reason>``
-  comment on the offending line waives that rule there forever (used for
-  deliberate, reviewed exceptions such as the TCP handshake secret);
-* **the baseline** (:mod:`repro.analysis.baseline`) — a checked-in list of
-  accepted pre-existing findings, so turning a new rule on does not block
-  CI until every historical hit is fixed.
+engine walks the requested paths, parses each ``*.py`` once and runs
+every registered rule over it.  There is no suppression layer: a true
+positive is fixed, a false positive is fixed in the rule.
 
 Rules live in :mod:`repro.analysis.rules`; the command line in
 :mod:`repro.analysis.__main__`.
@@ -19,41 +13,18 @@ Rules live in :mod:`repro.analysis.rules`; the command line in
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
 from dataclasses import dataclass, field
 
-#: Finding severities, in increasing order of concern.  Both gate CI — the
-#: split only signals how directly a finding can corrupt a golden artefact.
-SEVERITIES = ("warning", "error")
-
 #: Package directories whose modules produce (or key) golden artefacts;
-#: the determinism rule family applies only inside them.  Matched on path
+#: the seeding rule family applies only inside them.  Matched on path
 #: segments, so fixtures under ``tmp/src/repro/core/`` scope identically.
 GOLDEN_PACKAGES = (
     ("repro", "core"),
     ("repro", "exec"),
     ("repro", "render"),
-    # The compiled kernel layer is already covered by ("repro", "render"),
-    # but it is listed explicitly: kernels are the tightest golden modules
-    # in the tree (their outputs are pinned bit-for-bit across backends)
-    # and must stay in scope even if the render package is ever split.
-    ("repro", "render", "kernels"),
     ("repro", "baking"),
-    # Likewise covered by ("repro", "exec") but pinned explicitly: the
-    # frame codec carries every golden map's payload bytes, and
-    # worker-daemon parity with the serial loop is itself a pinned tier, so
-    # it must stay in scope even if the exec package is ever split.
-    ("repro", "exec", "transport.py"),
 )
-
-#: Inline suppression: a comment *starting* with the directive — trailing
-#: comments waive the same line; a comment-only line waives the line that
-#: follows it.  Anchored so prose merely quoting the syntax (like this
-#: doc comment) is not parsed as a live waiver.
-_ALLOW_RE = re.compile(r"^#\s*repro-analysis:\s*allow=([A-Z0-9,\-]+)\s*(.*)")
 
 
 @dataclass(frozen=True, order=True)
@@ -72,16 +43,6 @@ class Finding:
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule} {self.severity}: {self.message}"
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }
 
 
 class Rule:
@@ -114,11 +75,11 @@ class Rule:
 class ProjectRule(Rule):
     """One invariant checked over the *whole* module set at once.
 
-    Interprocedural rules (the REP-F2xx reachability family, REP-G5xx)
-    need every parsed module — a hazard one call deep in another file is
-    invisible per module.  Subclasses implement :meth:`check_project`
-    over the full context list; :meth:`check` is a no-op so a project
-    rule is harmless when handed to the per-module driver.
+    Interprocedural rules (the REP-F2xx reachability family) need every
+    parsed module — a hazard one call deep in another file is invisible
+    per module.  Subclasses implement :meth:`check_project` over the full
+    context list; :meth:`check` is a no-op so a project rule is harmless
+    when handed to the per-module pass.
     """
 
     def check(self, module: "ModuleContext"):
@@ -129,34 +90,12 @@ class ProjectRule(Rule):
 
 
 @dataclass
-class Waiver:
-    """One inline ``# repro-analysis: allow=...`` comment.
-
-    ``covered_lines`` holds every line the comment waives (its own line,
-    plus the following line for comment-only lines); ``suppressed`` counts
-    the findings it actually absorbed in the current run — a waiver that
-    suppresses nothing is stale (rule ``REP-W001``).
-    """
-
-    path: str
-    line: int
-    rules: frozenset
-    covered_lines: tuple
-    reason: str = ""
-    suppressed: int = 0
-
-
-@dataclass
 class ModuleContext:
     """One parsed module plus the location facts rules key on."""
 
     path: str  # normalised to forward slashes, as given on the CLI
     source: str
     tree: ast.Module
-    #: line number -> set of rule ids waived by an inline allow comment
-    allows: dict = field(default_factory=dict)
-    #: the :class:`Waiver` records behind ``allows``, in source order
-    waivers: list = field(default_factory=list)
 
     @property
     def parts(self) -> tuple:
@@ -181,51 +120,6 @@ class ModuleContext:
         to read ``os.environ``."""
         return self._has_package(("repro", "config")) and self.parts[-1] == "env.py"
 
-    def allowed(self, finding: Finding) -> bool:
-        """Whether an inline allow waives ``finding`` — and, if so, credit
-        the covering waiver(s) so stale-waiver detection sees the use."""
-        if finding.rule not in self.allows.get(finding.line, ()):
-            return False
-        for waiver in self.waivers:
-            if finding.line in waiver.covered_lines and finding.rule in waiver.rules:
-                waiver.suppressed += 1
-        return True
-
-
-def _parse_allows(path: str, source: str) -> tuple:
-    """``(line -> waived rule ids, [Waiver, ...])`` for one module source."""
-    allows: dict = {}
-    waivers: list = []
-    lines = source.splitlines()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _ALLOW_RE.search(token.string)
-            if not match:
-                continue
-            rules = {r for r in match.group(1).split(",") if r}
-            line = token.start[0]
-            covered = [line]
-            allows.setdefault(line, set()).update(rules)
-            # A comment-only line waives the statement below it (multi-line
-            # allow blocks chain naturally: each line waives the next).
-            prefix = lines[line - 1][: token.start[1]] if line <= len(lines) else ""
-            if not prefix.strip():
-                allows.setdefault(line + 1, set()).update(rules)
-                covered.append(line + 1)
-            waivers.append(Waiver(
-                path=path,
-                line=line,
-                rules=frozenset(rules),
-                covered_lines=tuple(covered),
-                reason=match.group(2).strip(),
-            ))
-    except tokenize.TokenizeError:  # pragma: no cover - unparseable comments
-        pass
-    return allows, waivers
-
 
 def load_module(path: str, source: "str | None" = None) -> "ModuleContext | None":
     """Parse one file into a :class:`ModuleContext` (``None`` on syntax error).
@@ -241,15 +135,7 @@ def load_module(path: str, source: "str | None" = None) -> "ModuleContext | None
         tree = ast.parse(source)
     except SyntaxError:
         return None
-    normalised = path.replace(os.sep, "/")
-    allows, waivers = _parse_allows(normalised, source)
-    return ModuleContext(
-        path=normalised,
-        source=source,
-        tree=tree,
-        allows=allows,
-        waivers=waivers,
-    )
+    return ModuleContext(path=path.replace(os.sep, "/"), source=source, tree=tree)
 
 
 def iter_python_files(paths) -> list:
@@ -274,93 +160,39 @@ def iter_python_files(paths) -> list:
 
 @dataclass
 class AnalysisResult:
-    """Everything one lint run produced, before and after suppression."""
+    """Everything one lint run produced."""
 
-    findings: list = field(default_factory=list)  # gating (new) findings
-    baselined: list = field(default_factory=list)  # matched baseline entries
+    findings: list = field(default_factory=list)
     files_checked: int = 0
-    #: every inline :class:`Waiver` seen, in (path, line) order, with its
-    #: post-run suppression count (the ``--waivers`` audit reads this)
-    waivers: list = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
         return 1 if self.findings else 0
 
-    def as_dict(self, rules) -> dict:
-        return {
-            "version": 1,
-            "rules": [
-                {
-                    "id": rule.rule_id,
-                    "title": rule.title,
-                    "severity": rule.severity,
-                }
-                for rule in rules
-            ],
-            "summary": {
-                "files": self.files_checked,
-                "new": len(self.findings),
-                "baselined": len(self.baselined),
-            },
-            "findings": [f.as_dict() for f in self.findings],
-            "baselined": [f.as_dict() for f in self.baselined],
-        }
-
 
 def analyze_module(module: ModuleContext, rules) -> list:
-    """All non-inline-suppressed findings of ``rules`` against one module."""
-    findings = []
-    for rule in rules:
-        for finding in rule.check(module):
-            if not module.allowed(finding):
-                findings.append(finding)
-    return sorted(findings)
+    """All findings of the per-module ``rules`` against one module."""
+    return sorted(
+        finding for rule in rules for finding in rule.check(module)
+    )
 
 
-def analyze_paths(paths, rules, baseline=None) -> AnalysisResult:
+def analyze_paths(paths, rules) -> AnalysisResult:
     """Lint every Python file under ``paths`` with ``rules``.
 
     Per-module rules run first over each file; :class:`ProjectRule`
-    instances then run once over the whole module set (in catalog order,
-    so a rule that keys on the suppression stats of the others — the
-    stale-waiver audit — lists itself last).
-
-    Args:
-        paths: files and/or directories.
-        rules: rule instances to run.
-        baseline: optional :class:`repro.analysis.baseline.Baseline`;
-            matched findings are reported separately and do not gate.
+    instances then run once over the whole module set.
     """
-    result = AnalysisResult()
+    modules = [
+        module for module in map(load_module, iter_python_files(paths))
+        if module is not None
+    ]
     module_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-
-    modules = []
-    for file_path in iter_python_files(paths):
-        module = load_module(file_path)
-        if module is None:
-            continue
-        modules.append(module)
-    result.files_checked = len(modules)
-
-    def admit(finding):
-        if baseline is not None and baseline.matches(finding):
-            result.baselined.append(finding)
-        else:
-            result.findings.append(finding)
-
-    for module in modules:
-        for finding in analyze_module(module, module_rules):
-            admit(finding)
-    by_path = {module.path: module for module in modules}
-    for rule in project_rules:
-        for finding in sorted(rule.check_project(modules)):
-            module = by_path.get(finding.path)
-            if module is None or not module.allowed(finding):
-                admit(finding)
-    for module in modules:
-        result.waivers.extend(module.waivers)
-    result.findings.sort()
-    result.baselined.sort()
-    return result
+    findings = [
+        finding for module in modules
+        for finding in analyze_module(module, module_rules)
+    ]
+    for rule in rules:
+        if isinstance(rule, ProjectRule):
+            findings.extend(rule.check_project(modules))
+    return AnalysisResult(findings=sorted(findings), files_checked=len(modules))

@@ -1,42 +1,32 @@
 """The project-invariant rule catalog.
 
-Six rule families encode the invariants this reproduction's guarantees
-rest on — the exact classes of bug once fixed after the fact (per-process
-store keys, aliased seed streams, racing warning filters):
+Three rule families encode the invariants no dynamic test covers yet —
+the classes of bug once fixed after the fact (aliased seed streams,
+shipped tasks that drag process state into workers):
 
-* ``REP-D1xx`` **determinism** — golden-artefact modules (``repro/core``,
-  ``repro/exec``, ``repro/render``, ``repro/baking``) must not read
-  wall-clocks, per-process ``hash()``/``id()`` values, unseeded RNG
-  streams, ad-hoc OS entropy, or iterate sets into ordered output.
+* ``REP-D1xx`` **seeding** — golden-artefact modules (``repro/core``,
+  ``repro/exec``, ``repro/render``, ``repro/baking``) must not draw from
+  unseeded RNG streams or ad-hoc OS entropy.
 * ``REP-F2xx`` **fork/pickle safety** — callables shipped to worker
   daemons must not close over locks, sockets, open files or threads
   (F201), nor reach impure code (F203) or lock/file/socket state (F204)
   through the call graph.
-* ``REP-L3xx`` **lock discipline** — a class that owns a
-  ``threading.Lock`` (or a ``LockedLRU``) mutates its shared attributes
-  only inside ``with self._lock`` / ``with self._lru.lock`` blocks.
 * ``REP-E4xx`` **environment hygiene** — every environment variable is
   read through the typed :mod:`repro.config.env` registry; raw
   ``os.environ`` reads anywhere else are findings.
-* ``REP-G5xx`` **concurrent global state** — code reachable from a
-  thread-pool entry must not mutate process-global state (warning
-  filters, numpy error state, ...), the race once fixed in
-  ``QualityModel.fit``.
-* ``REP-W0xx`` **waiver hygiene** — an inline allow that suppresses
-  nothing is itself a finding.
 
 Rule ids are stable and never reused; retired rules leave a tombstone
 comment here.  Adding a rule: subclass :class:`~repro.analysis.engine.
 Rule`, append an instance to :data:`DEFAULT_RULES`, add known-bad and
-known-good fixtures in ``tests/test_analysis_rules.py``, then triage the
-hits on the real tree (fix, inline-allow with a reason, or baseline).
+known-good fixtures in ``tests/test_analysis_rules.py``, then fix every
+true positive on the real tree in the same change.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.engine import Finding, ProjectRule, Rule
+from repro.analysis.engine import ProjectRule, Rule
 
 
 # ---------------------------------------------------------------------------
@@ -55,38 +45,6 @@ def dotted_name(node) -> "str | None":
     return None
 
 
-def attr_tuple(node) -> "tuple | None":
-    """``("self", "x", "lock")`` for ``self.x.lock``, else ``None``."""
-    name = dotted_name(node)
-    return tuple(name.split(".")) if name else None
-
-
-def build_parent_map(tree) -> dict:
-    parents = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    return parents
-
-
-def self_attr_base(node) -> "str | None":
-    """The first attribute after ``self`` in a target expression.
-
-    ``self.stats.hits`` -> ``"stats"``; ``self._store[key]`` -> ``"_store"``;
-    anything not rooted at ``self`` -> ``None``.
-    """
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        inner = node.value
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(inner, ast.Name)
-            and inner.id == "self"
-        ):
-            return node.attr
-        node = inner
-    return None
-
-
 def literal_arg(call: ast.Call) -> "str | None":
     """The first positional argument when it is a string literal."""
     if call.args and isinstance(call.args[0], ast.Constant):
@@ -97,61 +55,19 @@ def literal_arg(call: ast.Call) -> "str | None":
 
 
 # ---------------------------------------------------------------------------
-# REP-D1xx — determinism in golden-artefact modules
+# REP-D1xx — seeding in golden-artefact modules
 # ---------------------------------------------------------------------------
 
-class BuiltinHashRule(Rule):
-    """``hash()`` is salted per process (PYTHONHASHSEED): a content key or
-    filename derived from it differs between two invocations, which is the
-    exact PR 3 bug that broke cross-process artifact-store digests."""
+# REP-D101 (retired): builtin ``hash()`` in a golden-artefact module.
+# ``test_key_digest_stable_across_processes`` recomputes a store digest
+# under ``PYTHONHASHSEED=random`` and fails on a ``hash()``-based key.
 
-    rule_id = "REP-D101"
-    title = "builtin hash() in a golden-artefact module"
-    severity = "error"
+# REP-D102 (retired): builtin ``id()`` in a golden-artefact module.  An
+# address fed into a store key fails the same cross-process digest test.
 
-    def check(self, module):
-        if not module.in_golden_scope:
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "hash"
-            ):
-                yield self.finding(
-                    module, node,
-                    "builtin hash() is process-salted and unstable across "
-                    "invocations; derive digests from a canonical encoding "
-                    "(e.g. repro.exec.persist.key_filename) instead",
-                )
-
-
-class BuiltinIdRule(Rule):
-    """``id()`` is an address — unstable across processes and reused within
-    one; it must never feed a key, an ordering, or persisted output."""
-
-    rule_id = "REP-D102"
-    title = "builtin id() in a golden-artefact module"
-    severity = "error"
-
-    def check(self, module):
-        if not module.in_golden_scope:
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "id"
-            ):
-                yield self.finding(
-                    module, node,
-                    "builtin id() is a process-local address; use explicit "
-                    "content identity for keys and orderings",
-                )
-
-
-#: Wall-clock reads that poison golden output.  ``time.perf_counter`` /
-#: ``time.monotonic`` stay legal: timings are reported, never keyed on.
+#: Wall-clock reads that poison golden output (REP-F203 reads them).
+#: ``time.perf_counter`` / ``time.monotonic`` stay legal: timings are
+#: reported, never keyed on.
 _WALL_CLOCK_CALLS = {
     "time.time",
     "time.time_ns",
@@ -166,25 +82,9 @@ _WALL_CLOCK_CALLS = {
 }
 
 
-class WallClockRule(Rule):
-    rule_id = "REP-D103"
-    title = "wall-clock read in a golden-artefact module"
-    severity = "warning"
-
-    def check(self, module):
-        if not module.in_golden_scope:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name in _WALL_CLOCK_CALLS:
-                yield self.finding(
-                    module, node,
-                    f"{name}() reads the wall clock; golden artefacts must "
-                    "be pure functions of their inputs (perf_counter / "
-                    "monotonic are fine for reported timings)",
-                )
+# REP-D103 (retired): wall-clock read in a golden-artefact module.  A
+# ``time.time()`` fed into a store key fails the cross-process digest
+# test; REP-F203 still flags wall-clock reads inside shipped tasks.
 
 
 #: ``np.random`` attributes that are *not* the legacy seeded-nowhere global
@@ -206,8 +106,8 @@ class UnseededRngRule(Rule):
     """Unseeded randomness in a golden module: the stdlib ``random``
     module, the legacy ``np.random.*`` global state, and argument-less
     ``np.random.default_rng()``.  Streams must come from
-    ``repro.utils.rng.make_rng``/``derive_rng`` or — per shard —
-    ``repro.exec.shard_rng`` keyed by the item index (the PR 4 contract)."""
+    ``repro.utils.rng.make_rng``/``derive_rng``, keyed by the item for
+    per-shard streams."""
 
     rule_id = "REP-D104"
     title = "unseeded / global-state RNG in a golden-artefact module"
@@ -238,7 +138,7 @@ class UnseededRngRule(Rule):
                 yield self.finding(
                     module, node,
                     f"{name}() uses numpy's legacy global RNG state; use a "
-                    "seeded Generator (make_rng / derive_rng / shard_rng)",
+                    "seeded Generator (repro.utils.rng.make_rng / derive_rng)",
                 )
             elif (
                 len(parts) >= 2
@@ -250,110 +150,46 @@ class UnseededRngRule(Rule):
                     module, node,
                     "default_rng() without a seed draws fresh OS entropy per "
                     "call — the PR 4 seed-aliasing class of bug; thread a "
-                    "seed through, or draw repro.exec.fresh_seed_root() "
-                    "once per map",
+                    "seed through repro.utils.rng.make_rng / derive_rng",
                 )
 
-
-#: Functions blessed to draw OS entropy; everything else must receive a
-#: seed (or a root from ``fresh_seed_root``) from its caller.
-_ENTROPY_ALLOWED_FUNCTIONS = ("fresh_seed_root",)
 
 _ENTROPY_CALLS = {"os.urandom", "uuid.uuid4", "uuid.uuid1"}
 
 
 class EntropyRule(Rule):
     """Ad-hoc OS entropy (``os.urandom``, ``secrets.*``, argument-less
-    ``SeedSequence()``) outside the blessed ``fresh_seed_root`` helper.
-    PR 4's seed-aliasing fix centralised entropy there so nondeterministic
-    streams are shard-count-invariant and can never alias seeded runs."""
+    ``SeedSequence()``) in a golden module.  Every stream there derives
+    from a caller's seed, so a golden run never depends on entropy and a
+    seeded run can never alias a fresh one (the seed-aliasing bug)."""
 
     rule_id = "REP-D105"
-    title = "OS entropy outside fresh_seed_root in a golden-artefact module"
+    title = "ad-hoc OS entropy in a golden-artefact module"
     severity = "error"
 
     def check(self, module):
         if not module.in_golden_scope:
             return
-        yield from self._walk(module, module.tree, inside_blessed=False)
-
-    def _walk(self, module, node, inside_blessed):
-        for child in ast.iter_child_nodes(node):
-            blessed = inside_blessed
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                blessed = child.name in _ENTROPY_ALLOWED_FUNCTIONS
-            if isinstance(child, ast.Call) and not blessed:
-                name = dotted_name(child.func)
-                parts = (name or "").split(".")
-                entropy = (
-                    name in _ENTROPY_CALLS
-                    or parts[0] == "secrets"
-                    or (
-                        parts[-1] == "SeedSequence"
-                        and not child.args
-                        and not child.keywords
-                    )
-                )
-                if entropy:
-                    yield self.finding(
-                        module, child,
-                        f"{name}() draws OS entropy outside fresh_seed_root; "
-                        "nondeterministic streams must flow from one "
-                        "fresh_seed_root() draw per map so they stay "
-                        "shard-count-invariant and never alias seeded runs",
-                    )
-            yield from self._walk(module, child, blessed)
-
-
-#: Call consumers that materialise iteration order from their argument.
-_ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "next"}
-
-
-class SetIterationRule(Rule):
-    """Iterating a set into ordered output: set iteration order depends on
-    element hashes, hence (for str/bytes keys) on the per-process hash
-    seed.  Anything ordered or persisted must go through ``sorted()``."""
-
-    rule_id = "REP-D106"
-    title = "set iteration feeding ordered output in a golden-artefact module"
-    severity = "error"
-
-    @staticmethod
-    def _is_set_expr(node) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
-        )
-
-    def check(self, module):
-        if not module.in_golden_scope:
-            return
-        parents = build_parent_map(module.tree)
         for node in ast.walk(module.tree):
-            if not self._is_set_expr(node):
+            if not isinstance(node, ast.Call):
                 continue
-            parent = parents.get(node)
-            ordered = False
-            if isinstance(parent, ast.For) and parent.iter is node:
-                ordered = True
-            elif isinstance(parent, ast.comprehension) and parent.iter is node:
-                ordered = True
-            elif isinstance(parent, ast.Call) and node in parent.args:
-                func = parent.func
-                if isinstance(func, ast.Name) and func.id in _ORDER_SENSITIVE_CALLS:
-                    ordered = True
-                elif isinstance(func, ast.Attribute) and func.attr == "join":
-                    ordered = True
-            if ordered:
+            name = dotted_name(node.func)
+            parts = (name or "").split(".")
+            if (
+                name in _ENTROPY_CALLS
+                or parts[0] == "secrets"
+                or (parts[-1] == "SeedSequence" and not node.args and not node.keywords)
+            ):
                 yield self.finding(
                     module, node,
-                    "set iteration order is hash-dependent and varies across "
-                    "processes; wrap in sorted(...) before it feeds ordered "
-                    "or persisted output",
+                    f"{name}() draws OS entropy; golden streams must derive "
+                    "from a seed (repro.utils.rng.make_rng / derive_rng)",
                 )
+
+
+# REP-D106 (retired): set iteration feeding ordered output in a
+# golden-artefact module.  A set of strings iterated into a store key
+# fails the cross-process digest test (it runs under a random hash seed).
 
 
 # ---------------------------------------------------------------------------
@@ -501,163 +337,10 @@ class WorkerClosureRule(Rule):
 # context, so no module ever matched its ``os.fork()`` precondition.
 
 
-# ---------------------------------------------------------------------------
-# REP-L3xx — lock discipline
-# ---------------------------------------------------------------------------
-
-_LOCK_CONSTRUCTORS = {
-    "threading.Lock", "threading.RLock", "Lock", "RLock",
-    "threading.Condition",
-}
-
-#: Mutating methods of the plain containers a lock-owning class shares.
-_CONTAINER_MUTATORS = {
-    "append", "extend", "insert", "add", "remove", "discard", "pop",
-    "popitem", "clear", "update", "setdefault", "sort", "reverse",
-    "move_to_end",
-}
-
-_CONSTRUCTOR_EXEMPT_METHODS = {"__init__", "__post_init__", "__new__", "__del__"}
-
-
-def _is_container_value(value) -> bool:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
-        return True
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        return value.func.id in ("dict", "list", "set", "OrderedDict",
-                                 "defaultdict", "deque")
-    return False
-
-
-def _dataclass_container_fields(class_node) -> set:
-    """Class-level ``x: dict = field(default_factory=dict)`` attributes."""
-    names = set()
-    for stmt in class_node.body:
-        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
-            continue
-        value = stmt.value
-        if not isinstance(value, ast.Call):
-            continue
-        if (dotted_name(value.func) or "").split(".")[-1] != "field":
-            continue
-        for keyword in value.keywords:
-            if keyword.arg == "default_factory":
-                factory = dotted_name(keyword.value) or ""
-                if factory.split(".")[-1] in ("dict", "list", "set",
-                                              "OrderedDict", "defaultdict",
-                                              "deque"):
-                    names.add(stmt.target.id)
-    return names
-
-
-class LockDisciplineRule(Rule):
-    """A class that owns a ``threading.Lock``/``RLock`` or a ``LockedLRU``
-    must mutate its shared attributes only inside the corresponding
-    ``with self.<lock>:`` / ``with self.<lru>.lock:`` block.  Constructors
-    are exempt (no concurrent access before ``__init__`` returns)."""
-
-    rule_id = "REP-L301"
-    title = "shared attribute mutated outside the owning lock"
-    severity = "error"
-
-    def check(self, module):
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
-
-    def _check_class(self, module, class_node):
-        lock_attrs, lru_attrs = set(), set()
-        container_attrs = _dataclass_container_fields(class_node)
-        methods = [
-            stmt for stmt in class_node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for method in methods:
-            constructor = method.name in _CONSTRUCTOR_EXEMPT_METHODS
-            for stmt in ast.walk(method):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    attr = (
-                        target.attr
-                        if isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        else None
-                    )
-                    if attr is None:
-                        continue
-                    call_name = (
-                        dotted_name(stmt.value.func) or ""
-                        if isinstance(stmt.value, ast.Call)
-                        else ""
-                    )
-                    if call_name in _LOCK_CONSTRUCTORS:
-                        lock_attrs.add(attr)
-                    elif call_name.split(".")[-1] == "LockedLRU":
-                        lru_attrs.add(attr)
-                    elif constructor and _is_container_value(stmt.value):
-                        container_attrs.add(attr)
-        if not lock_attrs and not lru_attrs:
-            return
-        guards = {("self", attr) for attr in lock_attrs}
-        guards.update(("self", attr, "lock") for attr in lru_attrs)
-        exempt_attrs = lock_attrs | lru_attrs
-        for method in methods:
-            if method.name in _CONSTRUCTOR_EXEMPT_METHODS:
-                continue
-            yield from self._check_method(
-                module, method, guards, exempt_attrs, container_attrs,
-                guarded=False,
-            )
-
-    def _check_method(self, module, node, guards, exempt, containers, guarded):
-        for child in ast.iter_child_nodes(node):
-            child_guarded = guarded
-            if isinstance(child, ast.With):
-                held = any(
-                    attr_tuple(item.context_expr) in guards
-                    for item in child.items
-                )
-                child_guarded = guarded or held
-            if not child_guarded:
-                yield from self._check_statement(module, child, exempt, containers)
-            yield from self._check_method(
-                module, child, guards, exempt, containers, child_guarded
-            )
-
-    def _check_statement(self, module, node, exempt, containers):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            if isinstance(node, ast.AnnAssign) and node.value is None:
-                return  # a bare annotation binds nothing
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                base = self_attr_base(target)
-                if base is not None and base not in exempt:
-                    yield self.finding(
-                        module, node,
-                        f"mutation of self.{base} outside the owning lock; "
-                        "wrap in the class's `with self.<lock>:` block",
-                    )
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                base = self_attr_base(target)
-                if base is not None and base not in exempt:
-                    yield self.finding(
-                        module, node,
-                        f"deletion on self.{base} outside the owning lock; "
-                        "wrap in the class's `with self.<lock>:` block",
-                    )
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _CONTAINER_MUTATORS:
-                base = self_attr_base(node.func.value)
-                if base is not None and base in containers and base not in exempt:
-                    yield self.finding(
-                        module, node,
-                        f"self.{base}.{node.func.attr}(...) mutates a shared "
-                        "container outside the owning lock; wrap in the "
-                        "class's `with self.<lock>:` block",
-                    )
+# REP-L301 (retired): shared attribute mutated outside the owning lock.
+# ``TestStageTimerWorkers::test_concurrent_add_is_safe`` loses updates
+# when ``StageTimer.add`` runs unlocked; the store locks it also covered
+# are recorded in EXPERIMENTS.md.
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +403,7 @@ class RawEnvironRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# Interprocedural rules — REP-F2xx reachability and REP-G5xx global state
+# Interprocedural rules — REP-F2xx reachability
 # ---------------------------------------------------------------------------
 
 #: One call-graph build per module set: every project rule in one
@@ -831,7 +514,8 @@ class ReachableImpurityRule(_ReachabilityRule):
                     yield node, (
                         "default_rng() without a seed inside the "
                         "worker-shipped scope draws fresh OS entropy per "
-                        "shard; derive per-item streams with shard_rng"
+                        "shard; derive per-item streams with "
+                        "repro.utils.rng.derive_rng"
                     )
                 elif name in RawEnvironRule._READ_CALLS and not info.module.is_env_registry:
                     yield node, (
@@ -904,97 +588,13 @@ class ReachableLockRule(_ReachabilityRule):
                 )
 
 
-class ConcurrentGlobalStateRule(_ReachabilityRule):
-    """Mutation of process-global library state reachable from code that
-    runs concurrently (thread-backend tasks and thread-pool jobs).
-    This is exactly the PR 8 ``QualityModel.fit`` race: a
-    ``simplefilter("error", ...)`` probe in one fit flips the warning
-    filters under every concurrent fit.  ``"ignore"``-action filter calls
-    are exempt — widening an ignore is idempotent and an overlapping
-    restore cannot un-suppress an exception path."""
+# REP-G501 (retired): process-global state mutated in concurrently-
+# running code.  It exempted ``"ignore"`` filters, so it could not see
+# the ``QualityModel.fit`` race once it came back under one;
+# ``TestFitLock::test_concurrent_degenerate_fits_leak_no_warning`` caught
+# it and fails when ``profiler._fit_curve`` drops ``_FIT_LOCK``.
 
-    rule_id = "REP-G501"
-    title = "process-global state mutated in concurrently-running code"
-    severity = "error"
-
-    _FILTER_CALLS = {"warnings.simplefilter", "warnings.filterwarnings"}
-    _ALWAYS_MUTATORS = {
-        "np.seterr", "numpy.seterr", "random.seed", "np.random.seed",
-        "numpy.random.seed", "os.putenv",
-    }
-
-    def scope(self, graph):
-        from repro.analysis.callgraph import concurrent_scope
-
-        return concurrent_scope(graph)
-
-    def check_function(self, info, chain):
-        for node in _own_body_nodes(info.node):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name in self._FILTER_CALLS:
-                    if literal_arg(node) == "ignore":
-                        continue
-                    yield node, (
-                        f"{name}(...) mutates the process-wide warning "
-                        "filters in concurrently-running code — the PR 8 "
-                        "QualityModel race; read the outcome from data "
-                        "(e.g. pcov finiteness) under an 'ignore' filter "
-                        "instead of probing via 'error'"
-                    )
-                elif name in self._ALWAYS_MUTATORS:
-                    yield node, (
-                        f"{name}(...) mutates process-global state in "
-                        "concurrently-running code; every in-flight task "
-                        "sees the flip mid-computation"
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and dotted_name(target.value) == "os.environ"
-                    ):
-                        yield target, (
-                            "os.environ[...] assignment in "
-                            "concurrently-running code mutates process-global "
-                            "state under every in-flight task"
-                        )
-
-
-# ---------------------------------------------------------------------------
-# REP-W0xx — waiver hygiene
-# ---------------------------------------------------------------------------
-
-class StaleWaiverRule(ProjectRule):
-    """An inline ``# repro-analysis: allow=...`` that suppresses zero
-    findings.  Dead waivers are worse than dead code: they pre-authorise a
-    future bug at that line.  Runs last in the catalog, after every other
-    rule has credited the waivers it used (see
-    :func:`repro.analysis.engine.analyze_paths`)."""
-
-    rule_id = "REP-W001"
-    title = "stale inline waiver suppresses no finding"
-    severity = "warning"
-
-    def check_project(self, modules):
-        for module in modules:
-            for waiver in module.waivers:
-                if waiver.suppressed:
-                    continue
-                yield Finding(
-                    path=module.path,
-                    line=waiver.line,
-                    col=1,
-                    rule=self.rule_id,
-                    severity=self.severity,
-                    message=(
-                        "inline waiver for "
-                        f"{', '.join(sorted(waiver.rules))} suppresses no "
-                        "finding; the code it excused is gone — delete the "
-                        "comment (or fix the rule list)"
-                    ),
-                )
+# REP-W001 (retired): stale inline waiver.  The inline waivers are gone.
 
 
 # ---------------------------------------------------------------------------
@@ -1002,21 +602,12 @@ class StaleWaiverRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 DEFAULT_RULES = (
-    BuiltinHashRule(),
-    BuiltinIdRule(),
-    WallClockRule(),
     UnseededRngRule(),
     EntropyRule(),
-    SetIterationRule(),
     WorkerClosureRule(),
     ReachableImpurityRule(),
     ReachableLockRule(),
-    LockDisciplineRule(),
     RawEnvironRule(),
-    ConcurrentGlobalStateRule(),
-    # Last on purpose: it reads the suppression stats every other rule
-    # left on the module contexts.
-    StaleWaiverRule(),
 )
 
 

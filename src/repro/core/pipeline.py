@@ -895,8 +895,7 @@ class NeRFlexPipeline:
 
 
 def _run_job(pipeline: NeRFlexPipeline, dataset) -> tuple:
-    """One corpus job on a pool thread: the entry REP-G501's concurrent
-    scope starts from."""
+    """One corpus job on a pool thread."""
     return pipeline.run(dataset)
 
 

@@ -22,11 +22,9 @@ from repro.exec.backends import (
     SerialBackend,
     ThreadBackend,
     fork_available,
-    fresh_seed_root,
     in_worker_process,
     known_backend_names,
     resolve_backend,
-    shard_rng,
 )
 from repro.exec.persist import (
     ARTIFACT_DIR_ENV_VAR,
@@ -65,10 +63,8 @@ __all__ = [
     "create_artifact_store",
     "default_artifact_dir",
     "fork_available",
-    "fresh_seed_root",
     "in_worker_process",
     "known_backend_names",
     "resolve_backend",
-    "shard_rng",
     "shutdown_worker_hosts",
 ]

@@ -25,11 +25,7 @@ Backends are selected by name — ``PipelineConfig.backend``, the
 ``REPRO_BACKEND`` environment variable, or :func:`resolve_backend` directly.
 All backends produce bit-identical results for the workloads they run
 (pinned in ``tests/test_exec_backends.py``): tasks are pure functions of
-their item and results are assembled in item order.  Every task currently
-shipped is fully deterministic; should a future workload need randomness,
-it must derive its stream from :func:`shard_rng` — a pure function of
-``(seed, shard_index)`` for integer seeds — so the draw never depends on
-which worker (or in which order) a shard executes.
+their item and results are assembled in item order.
 
 What a backend shards is the caller's choice, and the pipeline makes it the
 same on every backend: whole objects for the profile stage, sub-models for
@@ -41,8 +37,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from repro.config import env as repro_env
 from repro.exec.transport import (  # noqa: F401  (re-exported API)
@@ -59,40 +53,6 @@ BACKEND_ENV_VAR = repro_env.REPRO_BACKEND.name
 #: default is behaviour-preserving.  Declared (with the parser) in
 #: :mod:`repro.config.env`, the registry every environment read goes through.
 DEFAULT_BACKEND_NAME = repro_env.REPRO_BACKEND.default
-
-
-def fresh_seed_root() -> int:
-    """A fresh OS-entropy seed root for one map's nondeterministic streams.
-
-    Callers that want nondeterministic *but shard-count-invariant* shard
-    streams must draw one root per map and pass it as the ``seed`` of every
-    shard's :func:`shard_rng` — the draw then depends only on the root and
-    the item index, never on how items were grouped into shards or which
-    worker ran them.
-    """
-    return int(np.random.SeedSequence().entropy)
-
-
-def shard_rng(seed: "int | None", shard_index: int) -> np.random.Generator:
-    """Deterministic, order-independent generator for one shard of work.
-
-    Unlike :func:`repro.utils.rng.derive_rng` (which draws entropy from the
-    parent generator and therefore depends on call order), the shard stream
-    is a pure function of ``(seed, shard_index)`` for any integer seed.
-    Two backends that execute shards in different orders — or on different
-    workers — therefore draw identical numbers per shard, which is what
-    keeps randomised workloads bit-identical across backends.
-
-    ``seed=None`` explicitly requests nondeterminism and draws a fresh
-    entropy root (via :func:`fresh_seed_root`) for this call alone — it
-    must never alias the deterministic ``seed=0`` stream, or
-    "nondeterministic" callers would silently collide with seeded runs.
-    Callers that need one consistent nondeterministic stream per *map*
-    should draw :func:`fresh_seed_root` once and pass the int.
-    """
-    root = fresh_seed_root() if seed is None else int(seed)
-    sequence = np.random.SeedSequence([root, int(shard_index)])
-    return np.random.default_rng(sequence)
 
 
 class Backend:
@@ -169,7 +129,8 @@ class ProcessBackend(Backend):
     Sharding contract: tasks must be pure functions of their item (caller
     state mutated inside a worker is lost — callers re-apply side effects
     from the returned values), return values must pickle, and any
-    randomness must come from :func:`shard_rng` keyed by the item index.
+    randomness must be seeded from the item
+    (:func:`repro.utils.rng.make_rng`).
 
     Items run on the shared :class:`~repro.exec.worker.WorkerHost`, one
     item per dispatch, pulled by whichever daemon is idle.  Daemons are

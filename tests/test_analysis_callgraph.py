@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis.callgraph import (
     build_call_graph,
-    concurrent_scope,
     format_chain,
     module_name_for_path,
     worker_shipped_scope,
@@ -208,22 +207,6 @@ class TestEntryPoints:
         shipped = worker_shipped_scope(graph)
         assert "pkg.main:make_task.task" in shipped
 
-    def test_thread_pool_task_is_a_concurrent_entry(self):
-        graph = graph_of({
-            "src/pkg/main.py": (
-                "def body(inputs):\n"
-                "    return inputs\n"
-                "def job(item):\n"
-                "    return item\n"
-                "def run(pool, executor, items):\n"
-                "    executor.submit(job, items[0])\n"
-                "    return list(pool.map(body, items))\n"
-            ),
-        })
-        assert graph.pool_entries == ("pkg.main:body", "pkg.main:job")
-        assert "pkg.main:body" in concurrent_scope(graph)
-        assert "pkg.main:body" not in worker_shipped_scope(graph)
-
     def test_annotated_parameter_resolves_method_calls(self):
         graph = graph_of({
             "src/pkg/main.py": (
@@ -232,12 +215,12 @@ class TestEntryPoints:
                 "        return dataset\n"
                 "def job(pipeline: Pipeline, dataset):\n"
                 "    return pipeline.run(dataset)\n"
-                "def run_all(pool, pipelines, datasets):\n"
-                "    return list(pool.map(job, pipelines, datasets))\n"
+                "def run_all(backend, pipelines):\n"
+                "    return backend.map(job, pipelines)\n"
             ),
         })
         assert "pkg.main:Pipeline.run" in graph.edges["pkg.main:job"]
-        assert "pkg.main:Pipeline.run" in concurrent_scope(graph)
+        assert "pkg.main:Pipeline.run" in worker_shipped_scope(graph)
 
     def test_plain_map_on_non_backend_receiver_is_ignored(self):
         graph = graph_of({
@@ -298,22 +281,6 @@ class TestRealTree:
         shipped = worker_shipped_scope(graph)
         assert "repro.core.pipeline:NeRFlexPipeline.run" not in shipped
 
-    def test_corpus_pool_runs_the_whole_chain_concurrently(self, graph):
-        # run_corpus maps whole-scene jobs over a thread pool, so every
-        # stage of the chain is in REP-G501's scope.
-        assert "repro.core.pipeline:_run_job" in graph.pool_entries
-        concurrent = concurrent_scope(graph)
-        for stage in ("run", "stage_segment", "stage_select", "bake", "deploy"):
-            assert f"repro.core.pipeline:NeRFlexPipeline.{stage}" in concurrent
-
-    def test_profiler_fit_chain_is_concurrent(self, graph):
-        # The PR 8 race site: QualityModel.fit runs inside sharded fits.
-        concurrent = concurrent_scope(graph)
-        chain = concurrent.get("repro.core.profiler:QualityModel.fit")
-        assert chain is not None
-        assert "repro.core.profiler:ProfileFitter.fit" in chain
-
     def test_scopes_are_not_vacuous(self, graph):
         assert len(graph.shipped_entries) >= 2
         assert len(worker_shipped_scope(graph)) >= 10
-        assert len(concurrent_scope(graph)) > len(worker_shipped_scope(graph))

@@ -21,6 +21,7 @@ from repro.config.env import (
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REGISTRY_PATH = os.path.join(REPO_ROOT, "src", "repro", "config", "env.py")
 
 
 class TestParsers:
@@ -151,6 +152,19 @@ class TestRegistry:
             assert re.search(rf"\b{var.name}\b", source), (
                 f"{var.name}: declared consumer {module} never mentions it"
             )
+        read = re.compile(rf"\b{var.name}\.(?:get|is_set|raw)\(")
+        readers = set()
+        for top in ("src", "benchmarks"):
+            for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, top)):
+                for name in filenames:
+                    path = os.path.join(dirpath, name)
+                    if not name.endswith(".py") or path == REGISTRY_PATH:
+                        continue
+                    if read.search(open(path, encoding="utf-8").read()):
+                        rel = os.path.relpath(path, REPO_ROOT)[: -len(".py")]
+                        readers.add(rel.removeprefix("src" + os.sep).replace(os.sep, "."))
+        undeclared = readers - set(var.consumers)
+        assert not undeclared, f"{var.name}: read by undeclared {sorted(undeclared)}"
 
 
 class TestEnvTable:

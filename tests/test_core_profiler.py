@@ -232,25 +232,43 @@ class TestFitLock:
         qualities = np.array([0.5, 0.7, 0.85, 0.9])
         reference = QualityModel.fit(configs, qualities)  # imports scipy.optimize
         assert (reference.a, reference.b) == (8.0, 1.0)  # the linear fallback
+        workers, fits, rounds = 4, 5, 5
         models, errors = [], []
 
-        def fit_many():
+        def fit_many(start):
             try:
-                for _ in range(20):
+                start.wait()
+                for _ in range(fits):
                     models.append(QualityModel.fit(configs, qualities))
             except BaseException as error:  # pragma: no cover - reported below
                 errors.append(error)
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            threads = [threading.Thread(target=fit_many) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        # A tiny switch interval interleaves the fits' filter save/restore;
+        # an unserialised round then leaks a warning or leaves another fit's
+        # "ignore" filter behind in most rounds, so five rounds miss rarely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                start = threading.Barrier(workers, timeout=60.0)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    filters = list(warnings.filters)
+                    threads = [
+                        threading.Thread(target=fit_many, args=(start,))
+                        for _ in range(workers)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60.0)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert [str(w.message) for w in caught] == []
+                    assert warnings.filters == filters
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
-        assert [str(w.message) for w in caught] == []
-        assert models == [reference] * 80
+        assert models == [reference] * (workers * fits * rounds)
 
     def test_fork_while_a_fit_holds_the_lock_gives_the_child_a_free_lock(self):
         held, release = threading.Event(), threading.Event()
