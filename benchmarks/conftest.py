@@ -262,7 +262,7 @@ class ReproductionHarness:
         self._single_models: dict = {}
         self._block_models: dict = {}
         self._baked_reports: dict = {}
-        self._field_reports: dict = {}
+        self._detail_metrics: dict = {}
         self.artifacts = create_artifact_store()
 
     # -- datasets -----------------------------------------------------------
@@ -355,16 +355,6 @@ class ReproductionHarness:
             )
         return self._baked_reports[key]
 
-    def field_report(self, method: str, scene_key: str):
-        """Quality report of a workstation-class baseline (NGP / Mip-NeRF 360)."""
-        key = (method, scene_key)
-        if key not in self._field_reports:
-            emulator = NGPEmulator() if method == "ngp" else MipNeRF360Emulator()
-            self._field_reports[key] = emulator.run(
-                self.dataset(scene_key), num_eval_views=NUM_TEST_VIEWS
-            )
-        return self._field_reports[key]
-
     # -- detail-region quality ------------------------------------------------
 
     def detail_region_metrics(self, scene_key: str, method: str) -> dict:
@@ -377,9 +367,9 @@ class ReproductionHarness:
         truth inside that region (LPIPS is computed on the region's bounding
         box crop).
         """
-        key = ("detail", scene_key, method)
-        if key in self._field_reports:
-            return self._field_reports[key]
+        key = (scene_key, method)
+        if key in self._detail_metrics:
+            return self._detail_metrics[key]
         dataset = self.dataset(scene_key)
         foreground_ids = [
             placed.instance_id
@@ -433,7 +423,7 @@ class ReproductionHarness:
             "psnr": float(np.mean(psnr_scores)),
             "lpips": float(np.mean(lpips_scores)),
         }
-        self._field_reports[key] = result
+        self._detail_metrics[key] = result
         return result
 
     # -- aggregates ---------------------------------------------------------

@@ -7,13 +7,14 @@ pure-Python / numpy library.  It contains
 * the paper's primary contribution — detail-based scene segmentation, a
   lightweight white-box configuration profiler and a dynamic-programming
   configuration selector (:mod:`repro.core`);
-* every substrate the paper depends on, rebuilt from scratch: a radiance
-  field and volume renderer (:mod:`repro.nerf`), a mesh/texture baking
-  pipeline (:mod:`repro.baking`), synthetic and "real-world style" scenes
-  (:mod:`repro.scenes`), object detection (:mod:`repro.detection`),
-  image-quality metrics (:mod:`repro.metrics`), a mobile-device simulator
-  (:mod:`repro.device`) and the baselines the paper compares against
-  (:mod:`repro.baselines`).
+* every substrate the paper depends on, rebuilt from scratch: a
+  training-coverage model of the per-sub-scene radiance fields
+  (:mod:`repro.nerf`), a ray-marching render engine (:mod:`repro.render`),
+  a mesh/texture baking pipeline (:mod:`repro.baking`), synthetic and
+  "real-world style" scenes (:mod:`repro.scenes`), object detection
+  (:mod:`repro.detection`), image-quality metrics (:mod:`repro.metrics`),
+  a mobile-device simulator (:mod:`repro.device`) and the baselines the
+  paper compares against (:mod:`repro.baselines`).
 
 See ``DESIGN.md`` for the module inventory and ``EXPERIMENTS.md`` for the
 paper-versus-measured results of every table and figure.

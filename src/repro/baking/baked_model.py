@@ -2,7 +2,7 @@
 
 A :class:`BakedSubModel` is the on-device artefact for one NeRF network —
 the voxel-grid quad mesh, its texture patches and the tiny deferred-shading
-MLP.  Its byte size is what the paper's ``S`` (data size) measures and what
+decoder network.  Its byte size is what the paper's ``S`` (data size) measures and what
 the device memory budget ``H`` constrains.  A :class:`BakedMultiModel`
 bundles the sub-models of a multi-NeRF decomposition (NeRFlex, Block-NeRF).
 """
@@ -28,7 +28,7 @@ class SizeConstants:
     deferred-shading features MobileNeRF stores per texel), the per-grid-cell
     volume data (a compressed alpha/indirection volume that scales with
     ``g^3``), a per-occupied-voxel entry in the sparse index and the small
-    decoder MLP.  They are calibration constants — chosen so that the
+    decoder network (``mlp_bytes``).  They are calibration constants — chosen so that the
     reference configurations land in the same size regime the paper reports
     (one network at the recommended configuration is a few hundred MB) —
     and every size the library reports is derived from them.
@@ -105,7 +105,7 @@ class BakedSubModel:
         return self.faces.num_faces
 
     def size_bytes(self) -> float:
-        """Total baked data size in bytes (geometry + textures + grid + MLP)."""
+        """Total baked data size in bytes (geometry + textures + grid + decoder)."""
         return self.size_constants.model_bytes(
             num_faces=self.num_faces,
             patch_size=self.patch_size,

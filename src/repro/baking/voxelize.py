@@ -155,15 +155,15 @@ def voxelize_field(
     attribute take the hierarchical path (scenes and placed objects are
     exact 1-Lipschitz SDF compositions; :class:`~repro.nerf.degradation.
     DegradedField` derives its bound from the noise slope); everything
-    else — notably MLP-backed pseudo-SDFs with unbounded gradients — is
-    sampled exhaustively.  Either way, cell centres are built and queried
+    else — notably a ``DegradedField`` with floaters, whose SDF jumps
+    across floater cells — is sampled exhaustively.  Either way, cell centres are built and queried
     one :data:`~repro.utils.blocks.FIELD_BLOCK` block at a time, so the
     working set stays cache-sized at any ``g``.
 
     Args:
         field: any object with ``sdf(points)`` and ``bounds_min``/``bounds_max``
             (a :class:`~repro.scenes.scene.Scene`, a placed object, or a
-            trained/degraded radiance field).
+            degraded radiance field).
         resolution: the mesh-granularity knob ``g`` (voxels per axis).
         padding: fractional padding added around the field bounds.
         occupancy_threshold: cells with ``sdf <= threshold`` are occupied; a
@@ -177,8 +177,8 @@ def voxelize_field(
     threshold = float(occupancy_threshold)
 
     # Hierarchical pruning is only sound for fields that explicitly
-    # advertise a finite Lipschitz bound; anything else (e.g. MLP-backed
-    # pseudo-SDFs, whose gradients are unbounded) is sampled exhaustively.
+    # advertise a finite Lipschitz bound; anything else (e.g. a floater
+    # ``DegradedField``, whose SDF is discontinuous) is sampled exhaustively.
     lipschitz = getattr(field, "sdf_lipschitz", None)
     if (
         resolution >= 8 * _REFINE_FACTOR

@@ -5,24 +5,19 @@
 * :class:`BlockNeRFBaseline` — one mesh-baked NeRF per object, all at the
   recommended configuration, with no resource awareness (Block-NeRF style);
 * :class:`NGPEmulator` / :class:`MipNeRF360Emulator` — full-scale
-  volume-rendered NeRF variants (quality references in Table I / Fig. 4);
-  they are not deployable to the mobile renderer and therefore report
-  quality only.
+  workstation NeRF variants (quality references in Table I / Fig. 4);
+  they are not deployable to the mobile renderer, so only their fields
+  are rendered and scored.
 """
 
 from repro.baselines.single_nerf import SingleNeRFBaseline, RECOMMENDED_SINGLE_CONFIG
 from repro.baselines.block_nerf import BlockNeRFBaseline
-from repro.baselines.field_baselines import (
-    FieldBaselineReport,
-    MipNeRF360Emulator,
-    NGPEmulator,
-)
+from repro.baselines.field_baselines import MipNeRF360Emulator, NGPEmulator
 
 __all__ = [
     "SingleNeRFBaseline",
     "RECOMMENDED_SINGLE_CONFIG",
     "BlockNeRFBaseline",
-    "FieldBaselineReport",
     "NGPEmulator",
     "MipNeRF360Emulator",
 ]

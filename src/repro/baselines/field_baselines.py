@@ -2,67 +2,33 @@
 
 The paper compares against the initial full-scale models used by mobile
 distillation pipelines — Instant-NGP and Mip-NeRF 360 (Table I, Fig. 4).
-Both are whole-scene networks trained on the original images and rendered by
-volume rendering on a workstation; neither is deployable to the mobile
-renderer, so they serve purely as quality references.
+Both are whole-scene networks trained on the original images and rendered on
+a workstation; neither is deployable to the mobile renderer, so they serve
+purely as quality references.
 
 The emulators build the whole-scene field with the same training-coverage
 degradation model as every other method; what distinguishes them is the
 ``network_factor`` — their stronger representations recover finer detail
 from the same views than a MobileNeRF-class network — and the fact that
-they render the field directly (no mesh discretisation).  Rendering uses
-sphere tracing by default; pass ``renderer="volume"`` to use the volume
-renderer instead.
+they render the field directly (no mesh discretisation).  Callers render
+:meth:`_FieldEmulator.build_field` through the engine's sphere tracer
+(:meth:`repro.render.engine.RenderEngine.render_field_views`) under
+:meth:`_FieldEmulator.render_key`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.metrics import lpips_proxy, psnr, ssim
 from repro.nerf.degradation import DegradedField, coverage_detail_scale
-from repro.render.engine import default_engine
-
-
-@dataclass
-class FieldBaselineReport:
-    """Quality report of a non-deployable (workstation-only) baseline."""
-
-    method: str
-    ssim: float
-    psnr: float
-    lpips: float
-    per_object_ssim: dict = field(default_factory=dict)
-
-    def describe(self) -> dict:
-        return {
-            "method": self.method,
-            "ssim": round(self.ssim, 4),
-            "psnr": round(self.psnr, 2),
-            "lpips": round(self.lpips, 4),
-        }
 
 
 class _FieldEmulator:
-    """Shared machinery of the volume-rendered whole-scene baselines."""
+    """Shared machinery of the whole-scene field baselines."""
 
     method_name = "field"
     network_factor = 1.0
 
-    def __init__(
-        self,
-        apply_degradation: bool = True,
-        num_samples: int = 128,
-        renderer: str = "sphere",
-        seed: int = 0,
-    ) -> None:
-        if renderer not in {"sphere", "volume"}:
-            raise ValueError("renderer must be 'sphere' or 'volume'")
+    def __init__(self, apply_degradation: bool = True, seed: int = 0) -> None:
         self.apply_degradation = bool(apply_degradation)
-        self.num_samples = int(num_samples)
-        self.renderer = renderer
         self.seed = int(seed)
 
     def build_field(self, dataset):
@@ -79,9 +45,9 @@ class _FieldEmulator:
         """Render-cache scene key of this emulator's field on a dataset.
 
         ``build_field`` is deterministic given the dataset and the
-        emulator's parameters, so any caller re-building the field (e.g. the
-        benchmark harness's detail-region scorer) shares renders with
-        :meth:`run` through the engine cache.
+        emulator's parameters, so every caller re-building the field (e.g.
+        the benchmark harness's detail-region scorer) shares renders through
+        the engine cache.
         """
         return (
             getattr(dataset, "name", ""),
@@ -89,53 +55,6 @@ class _FieldEmulator:
             self.method_name,
             self.apply_degradation,
             self.seed,
-        )
-
-    def run(self, dataset, num_eval_views: int = 2, engine=None) -> FieldBaselineReport:
-        """Volume-render the field on the test views and score quality.
-
-        Rendering goes through ``engine`` (the shared default engine when
-        omitted), so the evaluation inherits that engine's execution
-        backend and render cache.
-        """
-        field_model = self.build_field(dataset)
-        views = dataset.test_views[: max(num_eval_views, 1)]
-        cameras = dataset.test_cameras[: max(num_eval_views, 1)]
-        engine = engine or default_engine()
-        if self.renderer == "volume":
-            rendered_views = engine.volume_render_views(
-                field_model,
-                cameras,
-                num_samples=self.num_samples,
-                background=dataset.scene.background_color,
-                scene_key=self.render_key(dataset),
-            )
-        else:
-            rendered_views = engine.render_field_views(
-                field_model,
-                cameras,
-                background=dataset.scene.background_color,
-                scene_key=self.render_key(dataset),
-            )
-        ssim_scores, psnr_scores, lpips_scores = [], [], []
-        per_object: dict = {}
-        for view, camera, rendered in zip(views, cameras, rendered_views):
-            ssim_scores.append(ssim(view.rgb, rendered.rgb))
-            psnr_scores.append(psnr(view.rgb, rendered.rgb))
-            lpips_scores.append(lpips_proxy(view.rgb, rendered.rgb))
-            for placed in dataset.scene.placed:
-                mask = view.object_mask(placed.instance_id)
-                if mask.sum() < 16:
-                    continue
-                per_object.setdefault(placed.instance_name, []).append(
-                    ssim(view.rgb, rendered.rgb, mask=mask)
-                )
-        return FieldBaselineReport(
-            method=self.method_name,
-            ssim=float(np.mean(ssim_scores)),
-            psnr=float(np.mean(psnr_scores)),
-            lpips=float(np.mean(lpips_scores)),
-            per_object_ssim={k: float(np.mean(v)) for k, v in per_object.items()},
         )
 
 

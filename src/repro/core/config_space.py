@@ -2,9 +2,9 @@
 patch size ``p``.
 
 The paper's knobs are the voxel-grid resolution per axis (``g``) and the
-one-dimensional texture patch size per quad face (``p``).  The MLP is
-excluded as a knob because it is only a few kilobytes and quantising it
-breaks commercial rendering engines (§III-B).
+one-dimensional texture patch size per quad face (``p``).  The shading
+network is excluded as a knob because it is only a few kilobytes and
+quantising it breaks commercial rendering engines (§III-B).
 
 Note on ranges: the paper evaluates ``g`` in roughly [20, 128] and ``p`` in
 [5, 41] against an 800-pixel-class renderer.  This reproduction renders and

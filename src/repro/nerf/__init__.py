@@ -1,41 +1,17 @@
-"""Radiance-field substrate (pure numpy).
+"""Radiance-field substrate: the training-coverage degradation model.
 
 The paper trains one NeRF per sub-scene on a GPU cluster.  This package
-rebuilds the training stack at laptop scale:
-
-* :mod:`repro.nerf.encoding`  — sinusoidal positional encoding;
-* :mod:`repro.nerf.mlp`       — a small fully-connected network with manual
-  backpropagation and an Adam optimiser;
-* :mod:`repro.nerf.field`     — field adapters: the analytic ground-truth
-  field, an MLP field distilled from it, and a classic density/colour NeRF;
-* :mod:`repro.nerf.sampling`  — stratified ray sampling;
-* :mod:`repro.nerf.rendering` — volume rendering (forward and gradients);
-* :mod:`repro.nerf.training`  — distillation and image-based training loops;
-* :mod:`repro.nerf.degradation` — the training-coverage degradation model
-  that stands in for full-scale GPU training when a field is learned from
-  views in which an object covers only a few pixels (see DESIGN.md).
+stands in for that training with :mod:`repro.nerf.degradation`: a field
+learned from views in which an object covers only a few pixels loses
+detail below the pixel footprint and grows floaters, and
+:class:`DegradedField` applies exactly that loss to the analytic scene
+(see DESIGN.md).  The degraded fields are baked (:mod:`repro.baking`) or
+sphere-traced directly (:mod:`repro.render`).
 """
 
-from repro.nerf.encoding import PositionalEncoding
-from repro.nerf.mlp import MLP, AdamOptimizer
-from repro.nerf.field import AnalyticField, DistilledField, NeRFField
-from repro.nerf.sampling import stratified_samples
-from repro.nerf.rendering import volume_render_field, composite_samples
-from repro.nerf.training import train_distilled_field, train_nerf_from_images
 from repro.nerf.degradation import DegradedField, coverage_detail_scale
 
 __all__ = [
-    "PositionalEncoding",
-    "MLP",
-    "AdamOptimizer",
-    "AnalyticField",
-    "DistilledField",
-    "NeRFField",
-    "stratified_samples",
-    "volume_render_field",
-    "composite_samples",
-    "train_distilled_field",
-    "train_nerf_from_images",
     "DegradedField",
     "coverage_detail_scale",
 ]

@@ -85,8 +85,7 @@ class DegradedField:
 
     Args:
         base_field: the field that would be learned with unlimited training
-            resolution (typically an :class:`~repro.nerf.field.AnalyticField`
-            or a placed object / scene).
+            resolution (a placed object or a scene).
         detail_scale: world-space size of one training pixel on the content
             (see :func:`coverage_detail_scale`).
         floater_rate: per-cell probability of a spurious blob; derived from
@@ -138,9 +137,8 @@ class DegradedField:
         # hierarchical voxeliser can prune exactly: the base field's bound
         # plus the geometry noise's maximum slope (amplitude x wavenumber).
         # Floaters appear/disappear discontinuously across their lattice
-        # cells, and a base field without an advertised bound (e.g. an
-        # MLP-backed pseudo-SDF) has no usable one either — both cases
-        # force exhaustive sampling.
+        # cells, and a base field without an advertised bound has no
+        # usable one either — both cases force exhaustive sampling.
         base_lipschitz = getattr(base_field, "sdf_lipschitz", None)
         noise_slope = self.noise_amplitude * (2.0 * np.pi / self.noise_wavelength)
         if self.floater_rate > 0.0 or base_lipschitz is None:

@@ -1,12 +1,11 @@
 """The unified, batched ray-marching engine.
 
-Historically the library grew three independent ray-marching loops — the
-ground-truth sphere tracer (:mod:`repro.scenes.raytrace`), the volume
-renderer's ray chunking (:mod:`repro.nerf.rendering`) and the baked
-occupancy-grid marcher (:mod:`repro.baking.renderer`) — each with its own
-hand-rolled ``active``-mask bookkeeping, its own chunking and no sharing of
-rendered results.  :class:`RenderEngine` subsumes all three behind one
-batched API:
+Historically the library grew independent ray-marching loops — the
+ground-truth sphere tracer (:mod:`repro.scenes.raytrace`), a volume
+renderer's ray chunking and the baked occupancy-grid marcher
+(:mod:`repro.baking.renderer`) — each with its own hand-rolled
+``active``-mask bookkeeping, its own chunking and no sharing of rendered
+results.  :class:`RenderEngine` subsumes them behind one batched API:
 
 * **cross-view ray batching** — the ``*_views`` methods stack every
   camera's rays into a single ``(N, 3)`` march, so rendering eight views
@@ -24,8 +23,8 @@ batched API:
   assembled in chunk order, so every backend produces bit-identical images.
 
 The legacy module-level functions (``render_scene``, ``render_field``,
-``volume_render_field``, ``render_baked_multi``) remain as thin wrappers
-over a shared default engine, so downstream callers keep working unchanged.
+``render_baked_multi``) remain as thin wrappers over a shared default
+engine, so downstream callers keep working unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import contextlib
 import numpy as np
 
 from repro.exec.backends import Backend, resolve_backend
-from repro.nerf.sampling import stratified_samples
 from repro.render.cache import RenderCache
 from repro.render.kernels import get_kernels, resolve_kernel_name
 from repro.render.kernels.numpy_ref import stack_grids
@@ -170,6 +168,13 @@ def _default_max_distance(content, camera: Camera) -> float:
     center = 0.5 * (bounds_min + bounds_max)
     extent = float(np.max(bounds_max - bounds_min))
     return 4.0 * max(extent, 1.0) + float(np.linalg.norm(camera.position - center))
+
+
+def _bin_centres(near: np.ndarray, far: np.ndarray, num_samples: int) -> np.ndarray:
+    """``(R, num_samples)`` distances at the centres of equal bins in ``[near, far]``."""
+    bins = np.linspace(0.0, 1.0, num_samples + 1)
+    fractions = bins[:-1] + 0.5 * (bins[1:] - bins[:-1])
+    return near[:, None] + fractions * (far - near)[:, None]
 
 
 def _candidate_pairs(origins, directions, lo, hi) -> tuple:
@@ -598,15 +603,18 @@ class RenderEngine:
         num_samples: int = 96,
         background=(1.0, 1.0, 1.0),
         density_scale: float = 160.0,
-        rng: "np.random.Generator | int | None" = None,
         scene_key=None,
     ) -> list:
         """Volume-render several views of a field in one chunked ray batch.
 
-        The SDF is converted to density with a logistic bump around the
-        surface; per-ray colour is the shaded radiance at the expected
-        termination depth (the two-pass scheme of the legacy renderer).
+        Each ray is sampled at ``num_samples`` bin centres between its near
+        and far bounds.  The SDF is converted to density with a logistic
+        bump around the surface; per-ray colour is the shaded radiance at
+        the expected termination depth, a two-pass scheme that shades one
+        point per ray instead of every sample.
         """
+        if num_samples < 1:
+            raise ValueError("num_samples must be at least 1")
         quality_key = (
             "volume",
             _content_identity(field) if scene_key is not None else None,
@@ -646,9 +654,7 @@ class RenderEngine:
                 kernels = get_kernels(kernel_name)
                 stop = min(start + self.chunk_rays, num_rays)
                 count = stop - start
-                t_values = stratified_samples(
-                    near[start:stop], far[start:stop], num_samples, rng=rng, jitter=False
-                )
+                t_values = _bin_centres(near[start:stop], far[start:stop], num_samples)
                 # The SDF is queried in cache-sized blocks of rays, each
                 # block's sample points built inside the loop.
                 sdf = np.empty((count, num_samples))

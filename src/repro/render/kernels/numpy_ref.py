@@ -10,9 +10,9 @@ volume kernels (see ``PARITY_TIERS`` in
 :mod:`repro.render.kernels.registry`).
 
 The bodies are the exact hot-loop math that historically lived inline in
-:mod:`repro.render.engine` and :mod:`repro.nerf.rendering`; moving it here
-changed call boundaries only, never values, so the engine's legacy parity
-pins (``tests/test_render_engine.py``) keep holding bit for bit.
+:mod:`repro.render.engine` and the volume renderer; moving it here changed
+call boundaries only, never values, so the engine's legacy parity pins
+(``tests/test_render_engine.py``) keep holding bit for bit.
 
 Every kernel is a narrow array-in/array-out function: no engine state, no
 callables, no I/O — the contract that lets the same signature be compiled

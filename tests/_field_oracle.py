@@ -20,7 +20,6 @@ from repro.baking.texture import TextureAtlas
 from repro.baking.voxelize import _LIPSCHITZ_SAFETY, _REFINE_FACTOR, _cubic_bounds
 from repro.render.engine import _stack_camera_rays
 from repro.render.kernels import get_kernels
-from repro.nerf.sampling import stratified_samples
 from repro.scenes.raytrace import shade_lambertian
 
 
@@ -115,7 +114,10 @@ def volume_render(field, cameras, num_samples, background=(1.0, 1.0, 1.0),
         near[view_slice] = max(distance_to_center - extent, 1e-3)
         far[view_slice] = distance_to_center + extent
 
-    t_values = stratified_samples(near, far, num_samples, jitter=False)
+    # Bin centres of ``num_samples`` equal bins in [near, far].
+    bins = np.linspace(0.0, 1.0, num_samples + 1)
+    fractions = bins[:-1] + 0.5 * (bins[1:] - bins[:-1])
+    t_values = near[:, None] + fractions * (far - near)[:, None]
     points = origins[:, None, :] + t_values[..., None] * directions[:, None, :]
     sdf = field.sdf(points.reshape(-1, 3)).reshape(num_rays, num_samples)
     densities = kernels.sdf_to_density(sdf, surface_width)

@@ -78,8 +78,8 @@ class TestVoxelize:
                 assert np.array_equal(grid.occupancy, exhaustive)
 
     def test_unadvertised_lipschitz_forces_exhaustive_sampling(self):
-        """A field that does not advertise ``sdf_lipschitz`` (e.g. an
-        MLP-backed pseudo-SDF with unbounded gradients) must be sampled
+        """A field that does not advertise ``sdf_lipschitz`` (e.g. a
+        learned pseudo-SDF with unbounded gradients) must be sampled
         exhaustively — assuming 1-Lipschitz would corrupt its occupancy.
         Placing it as an object, alone or in a scene, must not invent a
         bound either."""

@@ -21,6 +21,7 @@ from repro.core.pipeline import NeRFlexPipeline, PipelineConfig
 from repro.core.config_space import ConfigurationSpace
 from repro.device.models import DeviceProfile
 from repro.exec import (
+    ArtifactStats,
     ArtifactStore,
     BACKENDS,
     ProcessBackend,
@@ -33,6 +34,7 @@ from repro.nerf.degradation import DegradedField
 from repro.render import RenderEngine
 from repro.scenes.cameras import orbit_cameras
 from repro.utils.timing import StageTimer, Timer
+from tests._race import SlowTag, run_racing, yielding_counters
 
 ALL_BACKENDS = [
     SerialBackend(),
@@ -398,6 +400,46 @@ class TestArtifactStore:
         assert not errors
         assert len(store) <= 32
         assert store.stats.requests == store.stats.hits + store.stats.misses
+
+
+    def test_concurrent_accounting_is_exact(self):
+        """Race-widened gets and puts: the overall and per-kind counters
+        match what the threads observed, so a lost update shows."""
+        from collections import Counter
+
+        workers, rounds, bound = 4, 120, 8
+        stats = yielding_counters(ArtifactStats, "hits", "misses", "puts", "evictions")()
+        store = ArtifactStore(max_entries=bound, stats=stats)
+        kinds = (SlowTag("profile"), SlowTag("baked"))
+        hits = [Counter() for _ in range(workers)]
+        misses = [Counter() for _ in range(workers)]
+        puts = [0] * workers
+
+        def hammer(worker):
+            for i in range(rounds):
+                kind = kinds[i % 2]
+                key = (kind, worker, i)
+                # Only this worker puts its own keys, so each put after a
+                # miss inserts a new entry.
+                for probe in (key, key, (kind, (worker + 1) % workers, i)):
+                    if store.get(probe) is None:
+                        misses[worker][kind] += 1
+                        if probe is key:
+                            store.put(key, i)
+                            puts[worker] += 1
+                    else:
+                        hits[worker][kind] += 1
+
+        assert not run_racing(hammer, workers)
+        hit_total, miss_total = sum(hits, Counter()), sum(misses, Counter())
+        assert sum(hit_total.values()) + sum(miss_total.values()) == workers * rounds * 3
+        assert store.stats.hits == sum(hit_total.values())
+        assert store.stats.misses == sum(miss_total.values())
+        assert store.reuse_by_kind() == dict(hit_total)
+        assert store.recompute_by_kind() == dict(miss_total)
+        assert store.stats.puts == sum(puts)
+        assert len(store) == bound
+        assert store.stats.evictions == sum(puts) - bound
 
 
 # ---------------------------------------------------------------------------

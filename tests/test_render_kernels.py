@@ -688,6 +688,41 @@ class TestSkipDistance:
             assert table.dtype == np.int64 and not table.flags.writeable
 
 
+def numpy_composite(densities, colors, deltas, background=(1.0, 1.0, 1.0)):
+    """The numpy reference ``composite_forward`` with depth from the first sample."""
+    return get_kernels("numpy").composite_forward(
+        densities, colors, deltas, np.asarray(background, dtype=np.float64),
+        np.cumsum(deltas, axis=1),
+    )
+
+
+class TestCompositeForwardSemantics:
+    """What ``composite_forward`` computes; the parity tiers only compare backends."""
+
+    def test_opaque_first_sample_wins(self):
+        densities = np.array([[1e4, 1e4]])
+        colors = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        deltas = np.full((1, 2), 0.1)
+        rgb, *_ = numpy_composite(densities, colors, deltas, background=(0, 0, 1))
+        assert np.allclose(rgb[0], [1.0, 0.0, 0.0], atol=1e-3)
+
+    def test_empty_space_shows_background(self):
+        densities = np.zeros((1, 4))
+        colors = np.zeros((1, 4, 3))
+        deltas = np.full((1, 4), 0.1)
+        rgb, *_ = numpy_composite(densities, colors, deltas, background=(0.3, 0.6, 0.9))
+        assert np.allclose(rgb[0], [0.3, 0.6, 0.9], atol=1e-6)
+
+    def test_weights_sum_to_alpha(self):
+        rng = np.random.default_rng(1)
+        densities = rng.uniform(0, 20, size=(6, 12))
+        colors = rng.uniform(size=(6, 12, 3))
+        deltas = np.full((6, 12), 0.05)
+        _, weights, _, _, alpha = numpy_composite(densities, colors, deltas)
+        assert np.allclose(weights.sum(axis=1), alpha, atol=1e-9)
+        assert np.all(alpha <= 1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("backend", CANDIDATE_BACKENDS)
 class TestBoundedUlpTierParity:
     def test_sdf_to_density(self, backend):

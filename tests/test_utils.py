@@ -14,7 +14,9 @@ from repro.utils.image import (
     to_gray,
 )
 from repro.utils.rng import derive_rng, make_rng
+from repro.utils.lru import LockedLRU
 from repro.utils.timing import StageTimer, Timer
+from tests._race import SlowKey, run_racing
 
 
 class TestToGray:
@@ -158,3 +160,22 @@ class TestTimers:
             _ = sum(range(100))
         assert stages.as_dict()["work"] >= 0.0
         assert stages.total() == pytest.approx(sum(stages.as_dict().values()))
+
+
+class TestLockedLRU:
+    def test_concurrent_put_evictions_are_exact(self):
+        """Race-widened puts of distinct keys into a tiny map: every insert
+        beyond the bound reports exactly one eviction."""
+        workers, rounds, bound = 4, 200, 2
+        lru = LockedLRU(max_entries=bound)
+        evicted = [0] * workers
+
+        def hammer(worker):
+            for i in range(rounds):
+                key = SlowKey((worker, i))
+                evicted[worker] += lru.put(key, i)
+                lru.get(key)
+
+        assert not run_racing(hammer, workers)
+        assert len(lru) == bound
+        assert sum(evicted) == workers * rounds - len(lru)
