@@ -298,15 +298,20 @@ def evaluate_baked_deployment(
 
         cache = gt_cache if gt_cache is not None else {}
         cameras = object_evaluation_cameras(dataset, resolution=object_eval_resolution)
+        gt_keys = {name: (dataset.name, name, object_eval_resolution) for name in cameras}
+        # The close-ups missing from the legacy dict trace as one ray batch.
+        missing = [name for name, gt_key in gt_keys.items() if gt_key not in cache]
+        if missing:
+            references = engine.render_scene_views(
+                dataset.scene,
+                [cameras[name] for name in missing],
+                scene_key=(dataset.name, "scene-gt"),
+            )
+            cache.update(zip((gt_keys[name] for name in missing), references))
         for placed in dataset.scene.placed:
             name = placed.instance_name
             camera = cameras[name]
-            gt_key = (dataset.name, name, object_eval_resolution)
-            if gt_key not in cache:
-                cache[gt_key] = engine.render_scene(
-                    dataset.scene, camera, scene_key=(dataset.name, "scene-gt")
-                )
-            reference = cache[gt_key]
+            reference = cache[gt_keys[name]]
             # Only sub-models whose grid lies near the object can appear in
             # its close-up view; skipping the rest keeps evaluation cheap.
             target_center = 0.5 * (placed.bounds_min + placed.bounds_max)

@@ -138,12 +138,11 @@ def generate_dataset(
     else:
         raise ValueError(f"unknown trajectory {trajectory!r}; use 'orbit' or 'forward'")
 
-    # One cross-view ray batch per split: all cameras march together.
+    # One cross-view ray batch for both splits: all cameras march together.
     from repro.render.engine import default_engine
 
-    engine = default_engine()
-    train_views = engine.render_scene_views(scene, train_cameras)
-    test_views = engine.render_scene_views(scene, test_cameras)
+    views = default_engine().render_scene_views(scene, [*train_cameras, *test_cameras])
+    train_views, test_views = views[: len(train_cameras)], views[len(train_cameras) :]
     return SceneDataset(
         scene=scene,
         train_cameras=train_cameras,

@@ -90,6 +90,12 @@ class SceneObject:
     #: min/max, so they are 1-Lipschitz (the hierarchical voxeliser's
     #: pruning bound relies on this being advertised).
     sdf_lipschitz: float = 1.0
+    #: Whether, outside ``bounds``, the SDF is at least the distance to that
+    #: box, so a scene union may skip this object wherever the box is
+    #: already farther than the union (:meth:`repro.scenes.scene.Scene.sdf`).
+    #: The library's constructors declare it (a test proves it for each);
+    #: a hand-built object is never culled.
+    sdf_box_bound: bool = False
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance from each point to the object surface."""
@@ -151,6 +157,7 @@ def make_hotdog() -> SceneObject:
         bounds=((-0.5, -0.2, -0.5), (0.5, 0.3, 0.5)),
         texture_frequency=1.5,
         complexity_rank=1,
+        sdf_box_bound=True,
     )
 
 
@@ -197,6 +204,7 @@ def make_ficus() -> SceneObject:
         bounds=((-0.45, -0.45, -0.45), (0.45, 0.55, 0.45)),
         texture_frequency=4.0,
         complexity_rank=2,
+        sdf_box_bound=True,
     )
 
 
@@ -236,6 +244,7 @@ def make_chair() -> SceneObject:
         bounds=((-0.4, -0.5, -0.4), (0.4, 0.55, 0.4)),
         texture_frequency=6.0,
         complexity_rank=3,
+        sdf_box_bound=True,
     )
 
 
@@ -300,6 +309,7 @@ def make_ship() -> SceneObject:
         bounds=((-0.6, -0.45, -0.35), (0.6, 0.55, 0.35)),
         texture_frequency=10.0,
         complexity_rank=4,
+        sdf_box_bound=True,
     )
 
 
@@ -362,6 +372,7 @@ def make_lego() -> SceneObject:
         bounds=((-0.55, -0.40, -0.45), (0.55, 0.45, 0.45)),
         texture_frequency=16.0,
         complexity_rank=5,
+        sdf_box_bound=True,
     )
 
 
@@ -387,6 +398,7 @@ def make_sphere(radius: float = 0.35, frequency: float = 2.0) -> SceneObject:
         bounds=((-0.45, -0.45, -0.45), (0.45, 0.45, 0.45)),
         texture_frequency=frequency,
         complexity_rank=0,
+        sdf_box_bound=True,
     )
 
 
@@ -407,6 +419,7 @@ def make_cube(half: float = 0.3, frequency: float = 3.0) -> SceneObject:
         bounds=((-0.4, -0.4, -0.4), (0.4, 0.4, 0.4)),
         texture_frequency=frequency,
         complexity_rank=0,
+        sdf_box_bound=True,
     )
 
 
@@ -430,6 +443,7 @@ def make_torus(frequency: float = 5.0) -> SceneObject:
         bounds=((-0.45, -0.25, -0.45), (0.45, 0.25, 0.45)),
         texture_frequency=frequency,
         complexity_rank=1,
+        sdf_box_bound=True,
     )
 
 
@@ -462,6 +476,7 @@ def make_mug(frequency: float = 7.0) -> SceneObject:
         bounds=((-0.35, -0.35, -0.35), (0.45, 0.35, 0.35)),
         texture_frequency=frequency,
         complexity_rank=2,
+        sdf_box_bound=True,
     )
 
 

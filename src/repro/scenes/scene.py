@@ -55,7 +55,9 @@ class PlacedObject:
             self.instance_name = self.obj.name
 
     def _to_local(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.translation) / self.scale
+        local = np.subtract(points, self.translation, dtype=np.float64)
+        local /= self.scale
+        return local
 
     @property
     def sdf_lipschitz(self) -> float:
@@ -65,6 +67,11 @@ class PlacedObject:
         voxeliser samples it exhaustively instead of pruning with 1.
         """
         return float(getattr(self.obj, "sdf_lipschitz", np.inf))
+
+    @property
+    def sdf_box_bound(self) -> bool:
+        """Scaling and translation carry the box bound along with the box."""
+        return bool(getattr(self.obj, "sdf_box_bound", False))
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance in world space (scale-corrected)."""
@@ -116,9 +123,33 @@ class Scene:
         )
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance to the closest surface of any object."""
-        distances = np.stack([placed.sdf(points) for placed in self.placed], axis=0)
-        return distances.min(axis=0)
+        """Signed distance to the closest surface of any object.
+
+        A bound-culled union (DESIGN.md "Bound-culled scene unions"): an
+        object that declares ``sdf_box_bound`` is evaluated only where its
+        box distance is within the running union, clamped at zero.  Outside
+        the box its SDF is at least that distance, so every skipped value
+        is strictly above the union, and folding ``np.minimum(running,
+        new)`` in object order gives ``np.stack(...).min(axis=0)`` bit for
+        bit, signed zeros included.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        first, *rest = self.placed
+        union = first.sdf(points)
+        for placed in rest:
+            near = None
+            if getattr(placed, "sdf_box_bound", False):
+                reach = box_distance(points, placed.bounds_min, placed.bounds_max)
+                near = np.flatnonzero(reach <= np.maximum(union, 0.0))
+            if near is None or near.size == len(points):
+                union = np.minimum(union, placed.sdf(points))
+            elif near.size:
+                if near.size == 1:
+                    # A one-row query rounds differently from a larger one
+                    # (see repro.utils.blocks), so a lone point goes as two.
+                    near = near.repeat(2)
+                union[near] = np.minimum(union[near], placed.sdf(points[near]))
+        return union
 
     def albedo(self, points: np.ndarray) -> np.ndarray:
         """Colour of the closest object at each point."""
@@ -195,6 +226,18 @@ class Scene:
     def __repr__(self) -> str:
         names = ", ".join(self.instance_names)
         return f"Scene([{names}])"
+
+
+def box_distance(points: np.ndarray, bounds_min, bounds_max) -> np.ndarray:
+    """Euclidean distance from each point to an axis-aligned box, 0 inside."""
+    squared = np.zeros(len(points))
+    for axis, (lo, hi) in enumerate(zip(bounds_min, bounds_max)):
+        column = points[:, axis]
+        gap = np.maximum(lo - column, column - hi)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        squared += gap
+    return np.sqrt(squared)
 
 
 def _unique_names(names: list) -> list:

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestRobustness:
 
     def test_version_mismatch_is_a_miss_and_discards(self, tmp_path):
         store, key, path = self._stored(tmp_path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         future = struct.pack("<8sI", MAGIC, FORMAT_VERSION + 1) + blob[12:]
         with open(path, "wb") as handle:
             handle.write(future)
@@ -223,7 +224,7 @@ class TestRobustness:
 
     def test_truncated_file_is_a_miss_and_discards(self, tmp_path):
         store, key, path = self._stored(tmp_path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(blob[: len(blob) // 2])
         assert store.get(key) is None
@@ -232,7 +233,7 @@ class TestRobustness:
 
     def test_flipped_payload_byte_is_a_miss(self, tmp_path):
         store, key, path = self._stored(tmp_path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-1] ^= 0xFF
         with open(path, "wb") as handle:
             handle.write(bytes(blob))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -148,7 +149,7 @@ class TestRegistry:
             if module.startswith("repro."):
                 path = os.path.join(REPO_ROOT, "src", module.replace(".", os.sep) + ".py")
             assert os.path.exists(path), f"{var.name}: consumer {module} not found"
-            source = open(path, encoding="utf-8").read()
+            source = Path(path).read_text(encoding="utf-8")
             assert re.search(rf"\b{var.name}\b", source), (
                 f"{var.name}: declared consumer {module} never mentions it"
             )
@@ -160,7 +161,7 @@ class TestRegistry:
                     path = os.path.join(dirpath, name)
                     if not name.endswith(".py") or path == REGISTRY_PATH:
                         continue
-                    if read.search(open(path, encoding="utf-8").read()):
+                    if read.search(Path(path).read_text(encoding="utf-8")):
                         rel = os.path.relpath(path, REPO_ROOT)[: -len(".py")]
                         readers.add(rel.removeprefix("src" + os.sep).replace(os.sep, "."))
         undeclared = readers - set(var.consumers)
@@ -176,7 +177,7 @@ class TestEnvTable:
     def test_design_doc_table_is_current(self):
         """DESIGN.md embeds the output of ``--env-table`` between markers;
         regenerate with ``python -m repro.analysis --env-table`` on drift."""
-        design = open(os.path.join(REPO_ROOT, "DESIGN.md"), encoding="utf-8").read()
+        design = Path(REPO_ROOT, "DESIGN.md").read_text(encoding="utf-8")
         match = re.search(
             r"<!-- env-table:begin -->\n(.*?)\n<!-- env-table:end -->",
             design,

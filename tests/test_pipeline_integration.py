@@ -15,11 +15,18 @@ from repro.baselines import (
     SingleNeRFBaseline,
 )
 from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.pipeline import NeRFlexPipeline, PipelineConfig, evaluate_baked_deployment
+from repro.core.pipeline import (
+    NeRFlexPipeline,
+    PipelineConfig,
+    evaluate_baked_deployment,
+    object_evaluation_cameras,
+)
 from repro.core.selector_baselines import FairnessSelector
 from repro.device.models import DeviceProfile
 from repro.metrics import ssim
 from repro.render import RenderEngine
+from repro.scenes.dataset import generate_dataset
+from repro.scenes.library import make_realworld_scene
 
 #: A small "device" whose budget binds for the tiny test scene.
 TINY_DEVICE = DeviceProfile(
@@ -173,3 +180,79 @@ class TestBaselines:
         assert not report.loaded
         assert report.ssim == 0.0
         assert report.fps_trace.failed
+
+
+#: Loads any bundle: the close-up tests need a deployment that renders.
+ROOMY_DEVICE = DeviceProfile(
+    name="roomy-device", memory_budget_mb=1e4, hard_memory_limit_mb=1e4
+)
+
+
+@pytest.fixture(scope="module")
+def realworld_bundle():
+    scene = make_realworld_scene(seed=0, num_objects=3)
+    dataset = generate_dataset(
+        scene, num_train=2, num_test=1, resolution=32, trajectory="forward", name="close-ups"
+    )
+    return dataset, SingleNeRFBaseline(config=Configuration(16, 1)).bake(dataset)
+
+
+def _deploy(bundle, dataset, resolution, gt_cache, engine):
+    return evaluate_baked_deployment(
+        bundle,
+        dataset,
+        ROOMY_DEVICE,
+        method="close-ups",
+        num_eval_views=1,
+        num_fps_frames=10,
+        object_eval_resolution=resolution,
+        gt_cache=gt_cache,
+        engine=engine,
+    )
+
+
+class TestBatchedCloseUps:
+    """The deployment's ground-truth close-ups trace as one ray batch and
+    keep the bits of rendering each close-up camera alone."""
+
+    @pytest.mark.parametrize("resolution", [32, 176])
+    def test_matches_one_camera_at_a_time(self, realworld_bundle, resolution):
+        # 176 px is 30,976 rays a camera, several 8,192-ray chunks.
+        dataset, bundle = realworld_bundle
+        cameras = object_evaluation_cameras(dataset, resolution=resolution)
+        alone = {
+            name: RenderEngine().render_scene(dataset.scene, camera)
+            for name, camera in cameras.items()
+        }
+        gt_cache: dict = {}
+        batched = _deploy(bundle, dataset, resolution, gt_cache, RenderEngine())
+        for name, single in alone.items():
+            reference = gt_cache[(dataset.name, name, resolution)]
+            for buffer in ("rgb", "depth", "object_ids", "hit_mask"):
+                assert getattr(reference, buffer).tobytes() == getattr(single, buffer).tobytes()
+        prefilled = {(dataset.name, name, resolution): alone[name] for name in alone}
+        one_by_one = _deploy(bundle, dataset, resolution, prefilled, RenderEngine())
+        assert batched.per_object_ssim == one_by_one.per_object_ssim
+        assert len(batched.per_object_ssim) >= 2
+
+    def test_prefilled_entries_are_reused(self, realworld_bundle, monkeypatch):
+        dataset, bundle = realworld_bundle
+        cameras = object_evaluation_cameras(dataset, resolution=32)
+        engine = RenderEngine()
+        kept_name = dataset.scene.placed[1].instance_name
+        kept = engine.render_scene(dataset.scene, cameras[kept_name])
+        gt_cache = {(dataset.name, kept_name, 32): kept}
+        batches = []
+        render = engine.render_scene_views
+
+        def spy(scene, batch, **kwargs):
+            batches.append([camera.position.tolist() for camera in batch])
+            return render(scene, batch, **kwargs)
+
+        monkeypatch.setattr(engine, "render_scene_views", spy)
+        _deploy(bundle, dataset, 32, gt_cache, engine)
+        assert batches == [
+            [cameras[name].position.tolist() for name in cameras if name != kept_name]
+        ]
+        assert gt_cache[(dataset.name, kept_name, 32)] is kept
+        assert len(gt_cache) == len(cameras)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.render import RenderEngine
 from repro.scenes.cameras import (
     Camera,
     camera_rays,
@@ -144,6 +145,22 @@ class TestDatasets:
     def test_unknown_trajectory_rejected(self, two_object_scene):
         with pytest.raises(ValueError):
             generate_dataset(two_object_scene, trajectory="spline")
+
+    def test_splits_trace_as_one_batch_with_each_splits_pixels(self):
+        """Train and test views march together; each view keeps the bits
+        of rendering its own split alone."""
+        scene = make_realworld_scene(seed=0, num_objects=3)
+        dataset = generate_dataset(
+            scene, num_train=3, num_test=2, resolution=48, trajectory="forward"
+        )
+        engine = RenderEngine()
+        for cameras, views in (
+            (dataset.train_cameras, dataset.train_views),
+            (dataset.test_cameras, dataset.test_views),
+        ):
+            for alone, view in zip(engine.render_scene_views(scene, cameras), views):
+                for buffer in ("rgb", "depth", "object_ids", "hit_mask"):
+                    assert getattr(alone, buffer).tobytes() == getattr(view, buffer).tobytes()
 
 
 class TestSceneLibrary:
