@@ -97,7 +97,6 @@ def _make_room_backdrop(half_width: float, half_depth: float, height: float) -> 
         ),
         texture_frequency=1.0,
         complexity_rank=0,
-        sdf_box_bound=True,
     )
 
 

@@ -72,7 +72,10 @@ class SceneObject:
         name: unique object name (e.g. ``"lego"``).
         sdf_fn: ``(N, 3) points -> (N,) signed distances``.
         albedo_fn: ``(N, 3) points -> (N, 3) RGB in [0, 1]``.
-        bounds: ``(min_xyz, max_xyz)`` conservative bounding box.
+        bounds: ``(min_xyz, max_xyz)`` conservative bounding box.  Outside
+            it the SDF must be at least the distance to the box, since a
+            scene union skips the object wherever the box is already
+            farther than the union (:meth:`repro.scenes.scene.Scene.sdf`).
         texture_frequency: characteristic spatial frequency of the surface
             texture; higher values produce more high-frequency image detail.
         complexity_rank: integer rank used to order objects by 3D geometric
@@ -90,12 +93,6 @@ class SceneObject:
     #: min/max, so they are 1-Lipschitz (the hierarchical voxeliser's
     #: pruning bound relies on this being advertised).
     sdf_lipschitz: float = 1.0
-    #: Whether, outside ``bounds``, the SDF is at least the distance to that
-    #: box, so a scene union may skip this object wherever the box is
-    #: already farther than the union (:meth:`repro.scenes.scene.Scene.sdf`).
-    #: The library's constructors declare it (a test proves it for each);
-    #: a hand-built object is never culled.
-    sdf_box_bound: bool = False
 
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance from each point to the object surface."""
@@ -157,7 +154,6 @@ def make_hotdog() -> SceneObject:
         bounds=((-0.5, -0.2, -0.5), (0.5, 0.3, 0.5)),
         texture_frequency=1.5,
         complexity_rank=1,
-        sdf_box_bound=True,
     )
 
 
@@ -204,7 +200,6 @@ def make_ficus() -> SceneObject:
         bounds=((-0.45, -0.45, -0.45), (0.45, 0.55, 0.45)),
         texture_frequency=4.0,
         complexity_rank=2,
-        sdf_box_bound=True,
     )
 
 
@@ -244,7 +239,6 @@ def make_chair() -> SceneObject:
         bounds=((-0.4, -0.5, -0.4), (0.4, 0.55, 0.4)),
         texture_frequency=6.0,
         complexity_rank=3,
-        sdf_box_bound=True,
     )
 
 
@@ -309,7 +303,6 @@ def make_ship() -> SceneObject:
         bounds=((-0.6, -0.45, -0.35), (0.6, 0.55, 0.35)),
         texture_frequency=10.0,
         complexity_rank=4,
-        sdf_box_bound=True,
     )
 
 
@@ -372,7 +365,6 @@ def make_lego() -> SceneObject:
         bounds=((-0.55, -0.40, -0.45), (0.55, 0.45, 0.45)),
         texture_frequency=16.0,
         complexity_rank=5,
-        sdf_box_bound=True,
     )
 
 
@@ -398,7 +390,6 @@ def make_sphere(radius: float = 0.35, frequency: float = 2.0) -> SceneObject:
         bounds=((-0.45, -0.45, -0.45), (0.45, 0.45, 0.45)),
         texture_frequency=frequency,
         complexity_rank=0,
-        sdf_box_bound=True,
     )
 
 
@@ -419,7 +410,6 @@ def make_cube(half: float = 0.3, frequency: float = 3.0) -> SceneObject:
         bounds=((-0.4, -0.4, -0.4), (0.4, 0.4, 0.4)),
         texture_frequency=frequency,
         complexity_rank=0,
-        sdf_box_bound=True,
     )
 
 
@@ -443,7 +433,6 @@ def make_torus(frequency: float = 5.0) -> SceneObject:
         bounds=((-0.45, -0.25, -0.45), (0.45, 0.25, 0.45)),
         texture_frequency=frequency,
         complexity_rank=1,
-        sdf_box_bound=True,
     )
 
 
@@ -476,7 +465,6 @@ def make_mug(frequency: float = 7.0) -> SceneObject:
         bounds=((-0.35, -0.35, -0.35), (0.45, 0.35, 0.35)),
         texture_frequency=frequency,
         complexity_rank=2,
-        sdf_box_bound=True,
     )
 
 

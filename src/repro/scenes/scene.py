@@ -68,11 +68,6 @@ class PlacedObject:
         """
         return float(getattr(self.obj, "sdf_lipschitz", np.inf))
 
-    @property
-    def sdf_box_bound(self) -> bool:
-        """Scaling and translation carry the box bound along with the box."""
-        return bool(getattr(self.obj, "sdf_box_bound", False))
-
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance in world space (scale-corrected)."""
         return self.obj.sdf(self._to_local(points)) * self.scale
@@ -125,23 +120,21 @@ class Scene:
     def sdf(self, points: np.ndarray) -> np.ndarray:
         """Signed distance to the closest surface of any object.
 
-        A bound-culled union (DESIGN.md "Bound-culled scene unions"): an
-        object that declares ``sdf_box_bound`` is evaluated only where its
-        box distance is within the running union, clamped at zero.  Outside
-        the box its SDF is at least that distance, so every skipped value
-        is strictly above the union, and folding ``np.minimum(running,
-        new)`` in object order gives ``np.stack(...).min(axis=0)`` bit for
-        bit, signed zeros included.
+        A bound-culled union (DESIGN.md "Bound-culled scene unions"): each
+        object after the first is evaluated only where its box distance is
+        within the running union, clamped at zero.  Outside its box an
+        object's SDF is at least that distance (the ``SceneObject.bounds``
+        contract), so every skipped value is strictly above the union, and
+        folding ``np.minimum(running, new)`` in object order gives
+        ``np.stack(...).min(axis=0)`` bit for bit, signed zeros included.
         """
         points = np.asarray(points, dtype=np.float64)
         first, *rest = self.placed
         union = first.sdf(points)
         for placed in rest:
-            near = None
-            if getattr(placed, "sdf_box_bound", False):
-                reach = box_distance(points, placed.bounds_min, placed.bounds_max)
-                near = np.flatnonzero(reach <= np.maximum(union, 0.0))
-            if near is None or near.size == len(points):
+            reach = box_distance(points, placed.bounds_min, placed.bounds_max)
+            near = np.flatnonzero(reach <= np.maximum(union, 0.0))
+            if near.size == len(points):
                 union = np.minimum(union, placed.sdf(points))
             elif near.size:
                 if near.size == 1:

@@ -190,7 +190,8 @@ ROOMY_DEVICE = DeviceProfile(
 
 @pytest.fixture(scope="module")
 def realworld_bundle():
-    scene = make_realworld_scene(seed=0, num_objects=3)
+    # The perfbench layout: all five reference objects, the ship among them.
+    scene = make_realworld_scene(seed=0, num_objects=5)
     dataset = generate_dataset(
         scene, num_train=2, num_test=1, resolution=32, trajectory="forward", name="close-ups"
     )

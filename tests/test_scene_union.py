@@ -3,8 +3,9 @@
 :meth:`repro.scenes.scene.Scene.sdf` skips an object wherever its box is
 farther than the running union.  That is exact only if the object's SDF is
 at least the distance to its box outside that box, so the first class
-proves the bound for every object that declares it.  The others pin the
-culled union to the unculled ``np.stack(...).min(axis=0)`` bit for bit.
+proves the bound for every library object and the room backdrop.  The
+other pins the culled union to the unculled ``np.stack(...).min(axis=0)``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -77,17 +78,8 @@ def _face_lattice(bounds_min: np.ndarray, bounds_max: np.ndarray) -> np.ndarray:
 
 
 class TestBoxBound:
-    """Outside its box, every declaring object's SDF is at least the
+    """Outside its box, every library object's SDF is at least the
     distance to that box, in world space, at every tested placement."""
-
-    def test_library_declares_the_bound(self):
-        for name in _BOUND_NAMES:
-            assert _library_object(name).sdf_box_bound, name
-
-    def test_hand_built_objects_do_not_declare_it(self):
-        obj = SceneObject(name="plain", sdf_fn=lambda p: p[:, 0], albedo_fn=lambda p: p)
-        assert not obj.sdf_box_bound
-        assert not PlacedObject(obj=obj).sdf_box_bound
 
     @pytest.mark.parametrize("name", _BOUND_NAMES)
     def test_on_and_just_outside_every_face(self, name):
@@ -137,7 +129,6 @@ def _cube_object(name: str, zero: float) -> SceneObject:
         sdf_fn=sdf,
         albedo_fn=lambda points: np.ones((len(points), 3)),
         bounds=((-0.35, -0.35, -0.35), (0.35, 0.35, 0.35)),
-        sdf_box_bound=True,
     )
 
 
@@ -272,39 +263,3 @@ class TestCulledUnionIsExact:
             points = rng.uniform(subset.bounds_min - 0.2, subset.bounds_max + 0.2, (count, 3))
             _assert_bit_equal(culled.sdf(points), stacked.sdf(points))
 
-
-class TestUndeclaredObjectsAreNeverCulled:
-    @staticmethod
-    def _liar(queries: list, declared: bool) -> SceneObject:
-        """A sphere of radius 0.35 whose box is far too small to hold it."""
-
-        def sdf(points: np.ndarray) -> np.ndarray:
-            queries.append(len(points))
-            return prim.sdf_sphere(points, np.zeros(3), 0.35)
-
-        return SceneObject(
-            name="liar",
-            sdf_fn=sdf,
-            albedo_fn=lambda points: np.ones((len(points), 3)),
-            bounds=((-0.05, -0.05, -0.05), (0.05, 0.05, 0.05)),
-            sdf_box_bound=declared,
-        )
-
-    def _scene(self, liar: SceneObject) -> Scene:
-        neighbour = PlacedObject(obj=make_object("cube"), translation=np.array([0.9, 0.0, 0.0]))
-        return Scene([neighbour, PlacedObject(obj=liar, instance_id=1)])
-
-    def test_non_conservative_box_is_evaluated_everywhere(self):
-        queries: list = []
-        scene = self._scene(self._liar(queries, declared=False))
-        points = np.random.default_rng(5).uniform(-0.6, 0.6, size=(500, 3))
-        got = scene.sdf(points)
-        assert queries == [500]
-        _assert_bit_equal(got, _stacked_sdf(scene, points))
-
-    def test_declaring_it_would_break_the_union(self):
-        """The check above has teeth: the same box, declared, culls wrongly."""
-        queries: list = []
-        scene = self._scene(self._liar(queries, declared=True))
-        points = np.random.default_rng(5).uniform(-0.6, 0.6, size=(500, 3))
-        assert not np.array_equal(scene.sdf(points), _stacked_sdf(scene, points))

@@ -149,7 +149,8 @@ class TestDatasets:
     def test_splits_trace_as_one_batch_with_each_splits_pixels(self):
         """Train and test views march together; each view keeps the bits
         of rendering its own split alone."""
-        scene = make_realworld_scene(seed=0, num_objects=3)
+        # The perfbench layout: all five reference objects, the ship among them.
+        scene = make_realworld_scene(seed=0, num_objects=5)
         dataset = generate_dataset(
             scene, num_train=3, num_test=2, resolution=48, trajectory="forward"
         )
