@@ -6,10 +6,8 @@ deploy ray marching by chunk.  This example runs the same staged pipeline
 under the serial reference and then under the process backend with
 increasing worker counts, verifying along the way that every run is
 **bit-identical** (sharding is a pure scheduling decision, never a
-numerical one) and printing the wall-clock split plus the worker-host
-counters: task generations installed, daemons spawned vs maps that
-*reused* the live daemons through the host's callable-token registry, and
-worker deaths revived.
+numerical one) and printing the wall-clock stage split and the seconds
+spent inside worker tasks.
 
 Run with:  python examples/sharded_evaluation.py
 Set REPRO_ARTIFACT_DIR=... to persist profiles and bakes on disk — a
@@ -93,13 +91,6 @@ def main() -> None:
             f"\nprocess({workers}): "
             f"{elapsed:.1f}s  [{identical} vs serial]"
         )
-        host = backend.host
-        print(
-            f"  worker lifecycle: {backend.fork_count} task generations, "
-            f"{host.spawn_count} daemons spawned, "
-            f"{host.reused_maps} maps fully reused the live daemons, "
-            f"{backend.worker_revivals} worker deaths revived"
-        )
         stage_parts = ", ".join(
             f"{name} {seconds:.1f}s" for name, seconds in report.stage_seconds.items()
         )
@@ -111,7 +102,6 @@ def main() -> None:
         )
         if worker_parts:
             print(f"  worker-side: {worker_parts}")
-        backend.shutdown()
 
 
 if __name__ == "__main__":

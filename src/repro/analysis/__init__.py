@@ -1,7 +1,7 @@
 """AST-based static analysis of the project's own invariants.
 
 The guarantees this reproduction sells — bit-identical golden reports
-across backends and worker counts, daemons that survive being shipped
+across backends and worker counts, workers that survive being shipped
 callables — rest on invariants the type system cannot see.  This package
 lints for the ones no dynamic test covers yet:
 

@@ -18,9 +18,9 @@ This module builds the interprocedural layer those rules lack:
   deliberately over-approximate: a missing edge hides a real hazard, a
   spurious one costs a restructured call site.
 * **The shipped scope** — :func:`worker_shipped_scope` closes over
-  every callable passed to ``Backend.map(...)`` / ``WorkerHost.run(...)``
-  (including factory calls in task position: the factory and everything
-  it defines are shipped).
+  every callable passed to ``Backend.map(...)`` (including factory
+  calls in task position: the factory and everything it defines are
+  shipped).
 
 Reachability is reported with its witness chain (``root -> a -> b``) so
 a finding names *how* the hazard is reachable, not just that it is.
@@ -48,7 +48,7 @@ def dotted_name(node) -> "str | None":
 def module_name_for_path(path: str) -> str:
     """The dotted module name a repo path denotes.
 
-    ``src/repro/exec/worker.py`` -> ``repro.exec.worker``; paths outside a
+    ``src/repro/exec/backends.py`` -> ``repro.exec.backends``; paths outside a
     ``src`` root (``tests/test_x.py``) keep their full dotted form.  The
     *last* ``src`` segment wins so fixture trees under ``tmp/src/...``
     resolve like the real tree.
@@ -282,7 +282,7 @@ class CallGraph:
     index: ProjectIndex
     #: qualified name -> sorted tuple of referenced qualified names
     edges: dict = field(default_factory=dict)
-    #: qualified names of callables passed to Backend.map / WorkerHost.run
+    #: qualified names of callables passed to Backend.map
     shipped_entries: tuple = ()
 
     def reachable(self, roots) -> dict:
@@ -305,14 +305,12 @@ class CallGraph:
 
 def _is_worker_dispatch(call) -> bool:
     """Mirror of the REP-F201 heuristic: ``<...backend>.map(task, ...)``
-    and ``<...host>.run(task, ...)`` ship their first argument."""
+    ships its first argument."""
     func = call.func
     if not isinstance(func, ast.Attribute) or not call.args:
         return False
     receiver = (dotted_name(func.value) or "").lower()
-    if func.attr == "map" and "backend" in receiver:
-        return True
-    return func.attr == "run" and "host" in receiver
+    return func.attr == "map" and "backend" in receiver
 
 
 def _entry_targets(resolver, expr) -> list:
@@ -367,7 +365,7 @@ def build_call_graph(modules) -> CallGraph:
 
 def worker_shipped_scope(graph: CallGraph) -> dict:
     """Qualified name -> witness chain, for every function transitively
-    reachable from a callable shipped to ``Backend.map``/``WorkerHost.run``."""
+    reachable from a callable shipped to ``Backend.map``."""
     return graph.reachable(graph.shipped_entries)
 
 

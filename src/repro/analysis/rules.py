@@ -8,7 +8,7 @@ shipped tasks that drag process state into workers):
   ``repro/exec``, ``repro/render``, ``repro/baking``) must not draw from
   unseeded RNG streams or ad-hoc OS entropy.
 * ``REP-F2xx`` **fork/pickle safety** — callables shipped to worker
-  daemons must not close over locks, sockets, open files or threads
+  processes must not close over locks, sockets, open files or threads
   (F201), nor reach impure code (F203) or lock/file/socket state (F204)
   through the call graph.
 * ``REP-E4xx`` **environment hygiene** — every environment variable is
@@ -193,7 +193,7 @@ class EntropyRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP-F2xx — transport / fork safety
+# REP-F2xx — fork / pickle safety
 # ---------------------------------------------------------------------------
 
 #: Constructors whose results must never be captured by a callable shipped
@@ -270,8 +270,8 @@ def _free_names(func_node) -> set:
 
 
 class WorkerClosureRule(Rule):
-    """A callable handed to ``<...backend>.map(...)`` or ``<...host>.run(...)``
-    that closes over a lock, socket, open file, or thread.  Such state is
+    """A callable handed to ``<...backend>.map(...)`` that closes over a
+    lock, socket, open file, or thread.  Such state is
     silently duplicated into a forked worker that cannot use it, and fails
     to pickle wherever the callable has to cross the wire."""
 
@@ -285,9 +285,7 @@ class WorkerClosureRule(Rule):
         if not isinstance(func, ast.Attribute) or not call.args:
             return False
         receiver = (dotted_name(func.value) or "").lower()
-        if func.attr == "map" and "backend" in receiver:
-            return True
-        return func.attr == "run" and "host" in receiver
+        return func.attr == "map" and "backend" in receiver
 
     def check(self, module):
         yield from self._walk(module, module.tree, [])
@@ -333,7 +331,7 @@ class WorkerClosureRule(Rule):
 
 
 # REP-F202 (retired): ``threading.Thread`` in a module that calls
-# ``os.fork``.  Daemons fork only through ``multiprocessing``'s fork
+# ``os.fork``.  Workers fork only through ``multiprocessing``'s fork
 # context, so no module ever matched its ``os.fork()`` precondition.
 
 

@@ -41,12 +41,10 @@ class BlockNeRFBaseline:
     def __init__(
         self,
         config: Configuration = RECOMMENDED_SINGLE_CONFIG,
-        apply_degradation: bool = True,
         size_constants=DEFAULT_SIZE_CONSTANTS,
         seed: int = 0,
     ) -> None:
         self.config = config
-        self.apply_degradation = bool(apply_degradation)
         self.size_constants = size_constants
         self.seed = int(seed)
 
@@ -72,21 +70,17 @@ class BlockNeRFBaseline:
         pending = []
         for sub_scene in segmentation.sub_scenes:
             truth = dataset.scene.subset(sub_scene.instance_ids)
-            if self.apply_degradation:
-                extent = float(np.max(truth.bounds_max - truth.bounds_min))
-                detail_scale = coverage_detail_scale(
-                    sub_scene.training_pixel_counts, extent
-                )
-                field = DegradedField(truth, detail_scale, seed=self.seed)
-            else:
-                field = truth
+            extent = float(np.max(truth.bounds_max - truth.bounds_min))
+            detail_scale = coverage_detail_scale(
+                sub_scene.training_pixel_counts, extent
+            )
+            field = DegradedField(truth, detail_scale, seed=self.seed)
             geometry_key = (
                 "geometry",
                 getattr(dataset, "name", ""),
                 sub_scene.name,
                 field_cache_identity(field),
                 self.seed,
-                self.apply_degradation,
                 self.config.granularity,
             )
             geometry = (

@@ -27,14 +27,11 @@ class _FieldEmulator:
     method_name = "field"
     network_factor = 1.0
 
-    def __init__(self, apply_degradation: bool = True, seed: int = 0) -> None:
-        self.apply_degradation = bool(apply_degradation)
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
 
     def build_field(self, dataset):
         scene = dataset.scene
-        if not self.apply_degradation:
-            return scene
         counts = [int(view.hit_mask.sum()) for view in dataset.train_views]
         detail_scale = coverage_detail_scale(
             counts, scene.extent, network_factor=self.network_factor
@@ -53,7 +50,6 @@ class _FieldEmulator:
             getattr(dataset, "name", ""),
             "field",
             self.method_name,
-            self.apply_degradation,
             self.seed,
         )
 

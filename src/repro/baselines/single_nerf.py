@@ -31,8 +31,6 @@ class SingleNeRFBaseline:
         config: baked configuration (defaults to the recommended one).
         network_factor: training-capability multiplier of the degradation
             model (1.0 = MobileNeRF-class network).
-        apply_degradation: disable to bake directly from the ground-truth
-            field (an idealised upper bound).
         size_constants: byte-cost constants (shared with NeRFlex).
     """
 
@@ -42,21 +40,17 @@ class SingleNeRFBaseline:
         self,
         config: Configuration = RECOMMENDED_SINGLE_CONFIG,
         network_factor: float = 1.0,
-        apply_degradation: bool = True,
         size_constants=DEFAULT_SIZE_CONSTANTS,
         seed: int = 0,
     ) -> None:
         self.config = config
         self.network_factor = float(network_factor)
-        self.apply_degradation = bool(apply_degradation)
         self.size_constants = size_constants
         self.seed = int(seed)
 
     def build_field(self, dataset):
         """The field a whole-scene NeRF would learn from the training views."""
         scene = dataset.scene
-        if not self.apply_degradation:
-            return scene
         counts = [int(view.hit_mask.sum()) for view in dataset.train_views]
         detail_scale = coverage_detail_scale(
             counts, scene.extent, network_factor=self.network_factor

@@ -39,14 +39,14 @@ from repro.baking.baked_model import (
     field_cache_identity,
 )
 from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.profiler import ObjectProfile, ProfileFitter
+from repro.core.profiler import ObjectProfile, ProfileFitter, load_solver
 from repro.core.segmentation import DetailBasedSegmenter, SegmentationResult, SubScene
 from repro.core.selector import NeRFlexDPSelector, SelectionResult
 from repro.device.memory import MemoryModel
 from repro.device.models import DeviceProfile
 from repro.device.render_sim import RenderSimulator
 from repro.exec.artifacts import ArtifactStore
-from repro.exec.backends import Backend, resolve_backend
+from repro.exec.backends import Backend, ProcessBackend, resolve_backend
 from repro.metrics import lpips_proxy, psnr, ssim
 from repro.metrics.fps import FPSTrace
 from repro.nerf.degradation import DegradedField, coverage_detail_scale
@@ -71,8 +71,6 @@ class PipelineConfig:
         num_eval_views: held-out test views scored at deployment time.
         frequency_threshold: segmentation threshold (``None`` = the paper's
             setting: the lowest maximum frequency among detected objects).
-        apply_degradation: model the training-coverage degradation of each
-            sub-scene's field (see :mod:`repro.nerf.degradation`).
         size_constants: byte-cost constants of the baked representation.
         num_fps_frames: length of the simulated FPS trace.
         materialize_textures: bake full texture atlases (slower, only needed
@@ -111,7 +109,6 @@ class PipelineConfig:
     num_profile_views: int = 1
     num_eval_views: int = 2
     frequency_threshold: "float | None" = None
-    apply_degradation: bool = True
     size_constants: SizeConstants = field(default_factory=lambda: DEFAULT_SIZE_CONSTANTS)
     num_fps_frames: int = 2000
     materialize_textures: bool = False
@@ -208,9 +205,8 @@ class DeploymentReport:
 
 
 def _bake_geometry_task(task: tuple):
-    """Voxelise one field at one granularity (module-level, so its callable
-    identity is stable across maps and pipelines — bake maps on every
-    pipeline reuse the same worker daemons instead of respawning them)."""
+    """Voxelise one field at one granularity: the bake stage's per-sub-model
+    task."""
     return bake_geometry(task[1], task[2])
 
 
@@ -434,7 +430,7 @@ class NeRFlexPipeline:
         to the ``"profiler"`` stage on ``timers``.
 
         Each object's fit fans its sample measurements out through the same
-        backend.  Inside a worker daemon that nested map runs serially, so
+        backend.  Inside a forked worker that nested map runs serially, so
         with several pending objects the parallelism is across objects; a
         lone pending object runs in this process and its measurements fan
         out instead.  Fits are pure per object, so profiles are
@@ -457,6 +453,11 @@ class NeRFlexPipeline:
                 profiles_by_name[sub_scene.name] = profile
 
         if pending:
+            if isinstance(self.backend, ProcessBackend):
+                # Forked workers inherit the solver instead of each
+                # importing it; in-process fits import it in their first
+                # fit, inside the profiler's own time.
+                load_solver()
             fitted = self.backend.map(
                 self._profile_fit_task(dataset),
                 pending,
@@ -465,7 +466,7 @@ class NeRFlexPipeline:
             )
             for (sub_scene, _, _, artifact_key), profile in zip(pending, fitted):
                 # Re-apply worker-side memoisation in this process: with the
-                # process backend the fits ran in forked daemons, whose
+                # process backend the fits ran in forked workers, whose
                 # measurement_cache writes died with them.
                 for config, measurement in profile.measurements.items():
                     key = (
@@ -569,7 +570,6 @@ class NeRFlexPipeline:
             self.config.profile_resolution,
             self.config.num_profile_views,
             self.config.seed,
-            self.config.apply_degradation,
             self.config.size_constants,
         )
 
@@ -588,8 +588,6 @@ class NeRFlexPipeline:
 
     def _build_field(self, truth, sub_scene: SubScene):
         """The field that the sub-scene's NeRF would learn from its training set."""
-        if not self.config.apply_degradation:
-            return truth
         extent = float(np.max(truth.bounds_max - truth.bounds_min))
         detail_scale = coverage_detail_scale(sub_scene.training_pixel_counts, extent)
         return DegradedField(truth, detail_scale, seed=self.config.seed)
@@ -657,7 +655,6 @@ class NeRFlexPipeline:
             name,
             field_cache_identity(field_model),
             self.config.seed,
-            self.config.apply_degradation,
             int(granularity),
         )
 

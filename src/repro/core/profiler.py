@@ -52,15 +52,24 @@ os.register_at_fork(
 )
 
 
-def _fit_curve(model, xdata, ydata, **kwargs) -> tuple:
-    """``scipy.optimize.curve_fit`` with ``OptimizeWarning`` ignored.
+def load_solver() -> tuple:
+    """Import the curve fitter: ``(OptimizeWarning, curve_fit)``.
 
-    Returns ``(params, pcov)``.  ``scipy.optimize`` is imported on the first
-    fit rather than with this module: the real-time baked path imports the
-    pipeline but never fits, and should not keep the optimiser resident.
+    ``scipy.optimize`` is imported on the first fit rather than with this
+    module: the real-time baked path imports the pipeline but never fits,
+    and should not keep the optimiser resident.
     """
     from scipy.optimize import OptimizeWarning, curve_fit
 
+    return OptimizeWarning, curve_fit
+
+
+def _fit_curve(model, xdata, ydata, **kwargs) -> tuple:
+    """``scipy.optimize.curve_fit`` with ``OptimizeWarning`` ignored.
+
+    Returns ``(params, pcov)``.
+    """
+    OptimizeWarning, curve_fit = load_solver()
     with _FIT_LOCK, warnings.catch_warnings():
         warnings.simplefilter("ignore", OptimizeWarning)
         return curve_fit(model, xdata, ydata, **kwargs)

@@ -1,15 +1,12 @@
-"""Execution layer: pluggable backends, the worker wire and the artefact store.
+"""Execution layer: pluggable backends and the artefact store.
 
 See :mod:`repro.exec.backends` for the serial / thread / process execution
-backends behind every bulk workload, :mod:`repro.exec.worker` for the
-persistent worker-daemon lifecycle behind the process backend,
-:mod:`repro.exec.transport` for the fork+socketpair launcher and the
-length-prefixed frame codec (pickle protocol 5, ndarray buffers as inline
-segments), :mod:`repro.exec.artifacts` for the two-level store that lets
-staged pipeline runs reuse profile curves and baked models across devices,
-selectors and repeated ``prepare()`` calls, and :mod:`repro.exec.persist`
-for the on-disk tier that extends that reuse across invocations
-(``$REPRO_ARTIFACT_DIR``).
+backends behind every bulk workload (the process backend forks one
+standard-library executor per map), :mod:`repro.exec.artifacts` for the
+two-level store that lets staged pipeline runs reuse profile curves and
+baked models across devices, selectors and repeated ``prepare()`` calls,
+and :mod:`repro.exec.persist` for the on-disk tier that extends that reuse
+across invocations (``$REPRO_ARTIFACT_DIR``).
 """
 
 from repro.exec.artifacts import ArtifactStats, ArtifactStore, create_artifact_store
@@ -33,13 +30,6 @@ from repro.exec.persist import (
     artifact_dir_from_env,
     default_artifact_dir,
 )
-from repro.exec.transport import FrameProtocolError, MAX_FRAME_BYTES
-from repro.exec.worker import (
-    HostRunReport,
-    WorkerHost,
-    WorkerTaskError,
-    shutdown_worker_hosts,
-)
 
 __all__ = [
     "ARTIFACT_DIR_ENV_VAR",
@@ -51,14 +41,9 @@ __all__ = [
     "DEFAULT_BACKEND_NAME",
     "DiskArtifactStore",
     "DiskStoreStats",
-    "FrameProtocolError",
-    "HostRunReport",
-    "MAX_FRAME_BYTES",
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
-    "WorkerHost",
-    "WorkerTaskError",
     "artifact_dir_from_env",
     "create_artifact_store",
     "default_artifact_dir",
@@ -66,5 +51,4 @@ __all__ = [
     "in_worker_process",
     "known_backend_names",
     "resolve_backend",
-    "shutdown_worker_hosts",
 ]

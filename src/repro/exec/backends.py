@@ -11,15 +11,12 @@ and routed through one of the interchangeable backends:
   fan-out (the engine's historical ``workers`` knob).  Threads share memory,
   so tasks may mutate caller state, but the Python-heavy marcher loops are
   GIL-bound and only numpy-releasing sections overlap.
-* :class:`ProcessBackend` — true multi-core execution on persistent worker
-  daemons, one item per dispatch.  The daemons are forked and owned by a
-  :class:`~repro.exec.worker.WorkerHost`: consecutive maps with the same
-  callable reuse the live daemons (items then cross the wire pickled); a
-  new callable respawns them, and maps whose items do not pickle take a
-  one-shot path that inherits callable *and* items by fork memory image
-  (closures over scenes, SDF lambdas and lazy textures all work).
-  Task side effects (cache writes) stay in the worker and are re-applied
-  by the caller from the returned values.
+* :class:`ProcessBackend` — true multi-core execution: each map forks a
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers inherit
+  the callable and the items by fork memory image (closures over scenes,
+  SDF lambdas and lazy textures all work); only indices go out and return
+  values come back.  Task side effects (cache writes) stay in the worker
+  and are re-applied by the caller from the returned values.
 
 Backends are selected by name — ``PipelineConfig.backend``, the
 ``REPRO_BACKEND`` environment variable, or :func:`resolve_backend` directly.
@@ -35,15 +32,11 @@ bake geometry, ray chunks for rendering.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.config import env as repro_env
-from repro.exec.transport import (  # noqa: F401  (re-exported API)
-    fork_available,
-    in_worker_process,
-)
-from repro.exec.worker import WorkerHost
 
 #: Environment variable that overrides the default backend selection.
 BACKEND_ENV_VAR = repro_env.REPRO_BACKEND.name
@@ -89,6 +82,42 @@ def _credit(timer, stage, pairs) -> list:
     return [result for _, result in pairs]
 
 
+#: Executors one process map may fork after its first one broke: each
+#: re-runs the items whose worker died before they finished.
+MAX_MAP_RESTARTS = 2
+
+#: Serialises process maps, so the stashed task below is the one every
+#: worker forked while the lock is held inherits.
+_MAP_LOCK = threading.Lock()
+
+#: ``(fn, items)`` of the process map in flight, inherited by fork.
+_MAP_TASK = None
+
+#: Set by the executor's initializer in every forked worker.
+_IN_WORKER = False
+
+
+def fork_available() -> bool:
+    """Whether this platform can fork worker processes."""
+    return hasattr(os, "fork")
+
+
+def in_worker_process() -> bool:
+    """Whether the current process is a process-backend worker (workers
+    must not fork, so their maps run serially)."""
+    return _IN_WORKER
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+def _run_index(index: int) -> tuple:
+    fn, items = _MAP_TASK
+    return _timed(fn, items[index])
+
+
 class SerialBackend(Backend):
     """The in-process reference backend: a plain ordered loop."""
 
@@ -124,7 +153,15 @@ class ThreadBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """Persistent worker daemons: true multi-core execution of Python tasks.
+    """Forked worker processes: true multi-core execution of Python tasks.
+
+    Each map forks a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
+    of ``min(workers, len(items))`` processes.  The callable and the items
+    are stashed in this module right before the fork, so workers inherit
+    them by memory image (closures over scenes, SDF lambdas and lazy
+    textures need not pickle); only item indices go out and each task's
+    return value comes back.  Maps are serialised by one module lock, so
+    no map can fork while another's task is stashed.
 
     Sharding contract: tasks must be pure functions of their item (caller
     state mutated inside a worker is lost — callers re-apply side effects
@@ -132,21 +169,15 @@ class ProcessBackend(Backend):
     randomness must be seeded from the item
     (:func:`repro.utils.rng.make_rng`).
 
-    Items run on the shared :class:`~repro.exec.worker.WorkerHost`, one
-    item per dispatch, pulled by whichever daemon is idle.  Daemons are
-    **persistent** — consecutive maps with the *same* callable reuse them
-    (items cross the wire pickled, results come back pickled, nothing is
-    respawned); a map with a different callable re-registers the task and
-    respawns the daemons, which inherit it by fork memory image.
-    Maps whose items do not pickle take the host's one-shot path instead,
-    inheriting both callable and items by memory image; the persistent
-    daemons stay intact for the next reusable map.  :meth:`shutdown`
-    (also run at interpreter exit) reaps the daemons.
+    A task exception is re-raised as its own type, with the worker's
+    traceback as ``__cause__``.  When a worker dies (killed, OOMed), the
+    items that did not finish re-run on a fresh executor, at most
+    :data:`MAX_MAP_RESTARTS` times per map, after which
+    :class:`~concurrent.futures.process.BrokenProcessPool` is raised.
 
-    Falls back to the serial loop when workers cannot be forked on this
-    platform, when called from inside a worker daemon (daemons
-    must not fork), or when the workload is too small to amortise a
-    dispatch.
+    Falls back to the serial loop when the platform cannot fork, when
+    called from inside a worker (workers must not fork), or when the map
+    has fewer than two items.
     """
 
     name = "process"
@@ -154,36 +185,52 @@ class ProcessBackend(Backend):
     def __init__(self, workers: "int | None" = None) -> None:
         default = os.cpu_count() or 1
         self.workers = max(int(workers) if workers is not None else default, 1)
-        self.host = WorkerHost(workers=self.workers)
-
-    @property
-    def fork_count(self) -> int:
-        """Task generations installed on the host; a map served without
-        this increasing reused the persistent daemons."""
-        return self.host.task_generations
-
-    @property
-    def worker_revivals(self) -> int:
-        """Worker deaths detected (and their lost items re-enqueued)."""
-        return self.host.worker_deaths
 
     def map(self, fn, items, timer=None, stage=None) -> list:
+        global _MAP_TASK
         items = list(items)
         if (
             self.workers <= 1
             or len(items) <= 1
-            or not self.host.available()
             or in_worker_process()
+            or not fork_available()
         ):
             return SerialBackend().map(fn, items, timer=timer, stage=stage)
-        results, report = self.host.run(fn, items)
-        if timer is not None and stage is not None:
-            timer.add_worker(stage, report.accepted_seconds)
-        return results
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    def shutdown(self) -> None:
-        """Reap the persistent daemons (idempotent, thread-safe)."""
-        self.host.shutdown()
+        context = multiprocessing.get_context("fork")
+        pairs: dict = {}
+        with _MAP_LOCK:
+            _MAP_TASK = (fn, items)
+            try:
+                for _ in range(MAX_MAP_RESTARTS + 1):
+                    todo = [index for index in range(len(items)) if index not in pairs]
+                    pool = ProcessPoolExecutor(
+                        min(self.workers, len(todo)),
+                        mp_context=context,
+                        initializer=_mark_worker,
+                    )
+                    try:
+                        futures = [(index, pool.submit(_run_index, index)) for index in todo]
+                        for index, future in futures:
+                            try:
+                                pairs[index] = future.result()
+                            except BrokenProcessPool as error:
+                                broken = error  # re-run on a fresh executor
+                    finally:
+                        pool.shutdown(cancel_futures=True)
+                    if len(pairs) == len(items):
+                        break
+                else:
+                    raise BrokenProcessPool(
+                        f"worker processes kept dying: {len(items) - len(pairs)} "
+                        f"of {len(items)} items unfinished after "
+                        f"{MAX_MAP_RESTARTS + 1} executors"
+                    ) from broken
+            finally:
+                _MAP_TASK = None
+        return _credit(timer, stage, [pairs[index] for index in range(len(items))])
 
 
 #: Registry of selectable backends, keyed by the names accepted from

@@ -21,6 +21,12 @@ results.  :class:`RenderEngine` subsumes them behind one batched API:
   thread pool (the historical ``workers`` knob) or a fork-based process
   pool.  Chunks are pure functions of disjoint ray ranges and results are
   assembled in chunk order, so every backend produces bit-identical images.
+  The chunk size itself can move a pixel: when a sphere-tracing chunk's
+  active set shrinks to one ray, the SDF gets a one-row query, and a
+  one-row matmul (``sdf_capsule``'s ``pa @ ba``) rounds differently from
+  the same row in a larger product (see :mod:`repro.utils.blocks`).
+  Cross-view batching changes which rays share an active set, so it rests
+  on the same exception.
 
 The legacy module-level functions (``render_scene``, ``render_field``,
 ``render_baked_multi``) remain as thin wrappers over a shared default
@@ -255,7 +261,10 @@ class RenderEngine:
 
     Args:
         chunk_rays: rays marched per chunk in the sample-heavy paths
-            (bounds peak memory; the rendered output is chunk-invariant).
+            (bounds peak memory).  Output does not depend on it except
+            where a sphere-tracing chunk narrows to one active ray through
+            a capsule, whose one-row matmul rounds differently (see
+            :mod:`repro.utils.blocks`).
         workers: worker count handed to the execution backend when one is
             resolved by name; ``None`` (the default) means the backend's own
             default — 1 (today's inline loop) for serial/thread, the host

@@ -14,14 +14,14 @@ Compilation flags, all load-bearing:
   "exact" tier kernels are pinned bit-identical to the numpy reference and
   stay that way only without fastmath.
 * ``cache=True`` — compiled machine code is persisted next to the source
-  (``__pycache__``), so spawned/TCP workers and fresh CI processes warm
+  (``__pycache__``), so forked workers and fresh CI processes warm
   from disk instead of re-JITting every kernel per process.
 * ``nogil=True`` — kernels release the GIL while marching; the thread
   backend overlaps chunks for free.
 
 Deliberately **no** ``parallel=True`` and no thread-count knob: numba's
 threading layers (TBB/OpenMP/workqueue) start worker threads that do not
-survive ``os.fork``, which would poison the forked worker daemons.
+survive ``os.fork``, which would poison the forked workers.
 Kernels stay single-threaded per call;
 parallelism across rays belongs to the existing chunk sharding in
 :mod:`repro.exec`.

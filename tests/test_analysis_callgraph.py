@@ -180,17 +180,6 @@ class TestEntryPoints:
         })
         assert graph.shipped_entries == ("pkg.main:task",)
 
-    def test_host_run_ships_its_task(self):
-        graph = graph_of({
-            "src/pkg/main.py": (
-                "def task(item):\n"
-                "    return item\n"
-                "def run(host, item):\n"
-                "    return host.run(task, item)\n"
-            ),
-        })
-        assert graph.shipped_entries == ("pkg.main:task",)
-
     def test_factory_call_in_task_position_promotes_the_factory(self):
         graph = graph_of({
             "src/pkg/main.py": (

@@ -114,9 +114,9 @@ def run(backend, items, path):
         source = '''
 import socket
 
-def run(host, items):
+def run(backend, items):
     with socket.create_connection(("x", 1)) as conn:
-        return host.run(lambda item: conn.send(item), items)
+        return backend.map(lambda item: conn.send(item), items)
 '''
         assert rule_ids(source, path=PLAIN_PATH) == ["REP-F201"]
 

@@ -25,6 +25,7 @@ from repro.core.profiler import (
     SizeModel,
     profile_error_analysis,
 )
+from repro.exec import fork_available
 
 SPACE = ConfigurationSpace(granularities=(16, 24, 32, 48, 64, 96, 128), patch_sizes=(1, 2, 3, 4, 6, 8))
 
@@ -352,6 +353,28 @@ assert ssim(frame.rgb, frame.rgb) > 0.99 and lpips_proxy(frame.rgb, frame.rgb) <
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
 """
 
+#: Profiles a two-object dataset on two forked workers, then prints
+#: whether ``scipy.optimize`` is loaded in this (the parent) process.
+_PROCESS_PROFILE_PROBE = """
+import json, sys
+from repro import NeRFlexPipeline, PipelineConfig
+from repro.core.config_space import ConfigurationSpace
+from repro.device.models import IPHONE_13
+from repro.exec import ProcessBackend
+from repro.scenes.dataset import generate_dataset
+from repro.scenes.library import make_realworld_scene
+
+scene = make_realworld_scene(seed=0, num_objects=2)
+dataset = generate_dataset(scene, num_train=2, num_test=1, resolution=48, trajectory="forward", name="probe")
+space = ConfigurationSpace(granularities=(8, 12, 16), patch_sizes=(1, 2))
+config = PipelineConfig(config_space=space, profile_resolution=24)
+pipeline = NeRFlexPipeline(IPHONE_13, config, backend=ProcessBackend(workers=2))
+segmentation = pipeline.stage_segment(dataset)
+assert len(segmentation.sub_scenes) >= 2
+pipeline.stage_profile(dataset, segmentation)
+print(json.dumps("scipy.optimize" in sys.modules))
+"""
+
 _FIT_PROBE = """
 import dataclasses
 from repro.core.config_space import Configuration
@@ -391,6 +414,13 @@ class TestImportBoundary:
         """The real-time path (segmentation, bake, skip table, frame and
         its quality metrics) runs on numpy alone."""
         assert _run_probe(_REAL_TIME_PATH_PROBE) == [[]]
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_process_profile_map_loads_the_solver_in_the_parent(self):
+        """With two pending objects every fit runs in a forked worker; the
+        parent loads the solver before the map so that no worker imports
+        it again."""
+        assert _run_probe(_PROCESS_PROFILE_PROBE) == [True]
 
     def test_first_fit_loads_scipy_optimize_and_matches_in_process(self):
         probe = _BAKED_FRAME_PROBE + _FIT_PROBE.replace(

@@ -9,9 +9,11 @@ contract (closures never pickle; only results do) and its fallbacks.
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.exec import (
     fork_available,
     resolve_backend,
 )
+from repro.exec.backends import MAX_MAP_RESTARTS
 from repro.nerf.degradation import DegradedField
 from repro.render import RenderEngine
 from repro.scenes.cameras import orbit_cameras
@@ -82,11 +85,10 @@ class TestBackendMap:
     def test_process_backend_concurrent_maps_from_threads(self):
         """Two threads mapping at once must each get their own results.
 
-        The fork handoff stashes the task in module globals; without the
-        fork lock, one thread's pool could inherit the other's task state.
+        The process map stashes its task in a module global before
+        forking; without the map lock, one thread's executor could inherit
+        the other's task.
         """
-        import threading
-
         backend = ProcessBackend(workers=2)
         results = {}
 
@@ -100,9 +102,29 @@ class TestBackendMap:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60.0)
+            assert not thread.is_alive(), "concurrent process maps hung"
         assert results["a"] == [101, 102, 103]
         assert results["b"] == [201, 202, 203]
+
+    def test_serial_and_thread_maps_do_not_load_multiprocessing(self):
+        """Only a process map imports :mod:`multiprocessing`."""
+        code = (
+            "import sys\n"
+            "import repro.core.pipeline\n"
+            "from repro.exec import SerialBackend, ThreadBackend\n"
+            "assert SerialBackend().map(abs, [-1, -2]) == [1, 2]\n"
+            "assert ThreadBackend(workers=2).map(abs, [-1, -2]) == [1, 2]\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_resolve_by_name(self):
         assert resolve_backend("serial").name == "serial"
@@ -443,86 +465,28 @@ class TestArtifactStore:
 
 
 # ---------------------------------------------------------------------------
-# Persistent fork pool
+# Process pool: one fork per map
 # ---------------------------------------------------------------------------
 
 
 def _pooled_pid_task(x):
-    """Module-level task: stable callable identity across consecutive maps."""
+    """Module-level task whose result names the process that ran it."""
     return (os.getpid(), x * 3)
-
-
-def _pooled_other_task(x):
-    return x + 100
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 class TestPersistentPool:
-    def test_pool_reused_across_consecutive_maps(self):
-        backend = ProcessBackend(workers=2)
-        try:
-            first = backend.map(_pooled_pid_task, list(range(8)))
-            assert backend.fork_count == 1
-            second = backend.map(_pooled_pid_task, list(range(8, 16)))
-            third = backend.map(_pooled_pid_task, list(range(16, 24)))
-            # No re-fork, correct ordered values, and the later maps ran on
-            # the same forked children.
-            assert backend.fork_count == 1
-            assert [v for _, v in first] == [x * 3 for x in range(8)]
-            assert [v for _, v in second] == [x * 3 for x in range(8, 16)]
-            assert [v for _, v in third] == [x * 3 for x in range(16, 24)]
-            assert {pid for pid, _ in third} <= {pid for pid, _ in second} | {
-                pid for pid, _ in first
-            }
-        finally:
-            backend.shutdown()
-
-    def test_refork_on_callable_change(self):
-        backend = ProcessBackend(workers=2)
-        try:
-            backend.map(_pooled_pid_task, [1, 2, 3])
-            assert backend.fork_count == 1
-            assert backend.map(_pooled_other_task, [1, 2, 3]) == [101, 102, 103]
-            assert backend.fork_count == 2
-            # A fresh closure is a new callable: re-fork again.
-            offset = 7
-            assert backend.map(lambda x: x + offset, [1, 2]) == [8, 9]
-            assert backend.fork_count == 3
-        finally:
-            backend.shutdown()
-
-    def test_shutdown_leaves_no_children(self):
-        backend = ProcessBackend(workers=2)
-        results = backend.map(_pooled_pid_task, list(range(6)))
-        worker_pids = {pid for pid, _ in results}
-        assert worker_pids
-        backend.shutdown()
-        for pid in worker_pids:
-            with pytest.raises(OSError):
-                os.kill(pid, 0)  # ESRCH: the worker is gone
-        # Shutdown is idempotent and the backend still serves maps after
-        # (by forking a fresh pool).
-        backend.shutdown()
-        try:
-            assert [v for _, v in backend.map(_pooled_pid_task, [1, 2])] == [3, 6]
-        finally:
-            backend.shutdown()
+    """The process pool behind ``ProcessBackend``, forked afresh per map."""
 
     def test_unpicklable_items_take_one_shot_path(self):
+        # Items ride the fork image of the map's own executor, so they need
+        # not pickle; only their results come back.
         backend = ProcessBackend(workers=2)
-        try:
-            backend.map(_pooled_pid_task, [1, 2, 3])
-            forks_before = backend.fork_count
-            lock = __import__("threading").Lock()
-            items = [(lock, value) for value in range(4)]
-            assert backend.map(lambda item: item[1] * 2, items) == [0, 2, 4, 6]
-            # One-shot forks are not persistent-pool forks, and the
-            # persistent pool survives for the next reusable map.
-            assert backend.fork_count == forks_before
-            assert [v for _, v in backend.map(_pooled_pid_task, [5, 6])] == [15, 18]
-            assert backend.fork_count == forks_before
-        finally:
-            backend.shutdown()
+        lock = threading.Lock()
+        items = [(lock, value) for value in range(4)]
+        assert backend.map(lambda item: item[1] * 2, items) == [0, 2, 4, 6]
+        pids = {pid for pid, _ in backend.map(_pooled_pid_task, [5, 6])}
+        assert os.getpid() not in pids
 
     def test_task_exception_type_matches_serial(self):
         # Error handling must not depend on REPRO_BACKEND: a failing task
@@ -533,59 +497,56 @@ class TestPersistentPool:
                 raise KeyError("missing-key")
             return x
 
-        backend = ProcessBackend(workers=2)
-        try:
-            with pytest.raises(KeyError, match="missing-key"):
-                backend.map(boom, [0, 1, 2, 3])
-        finally:
-            backend.shutdown()
+        with pytest.raises(KeyError, match="missing-key") as excinfo:
+            ProcessBackend(workers=2).map(boom, [0, 1, 2, 3])
+        # The worker's traceback rides along as the cause.
+        assert "missing-key" in str(excinfo.value.__cause__)
+        assert "Traceback" in str(excinfo.value.__cause__)
 
     def test_items_execute_concurrently(self):
-        """Daemons genuinely overlap: 6 x 0.3 s sleeps finish well under 1.8 s.
+        """Workers genuinely overlap: 6 x 0.3 s sleeps finish well under 1.8 s.
 
         Sleeps do not compete for a CPU, so this holds even on a one-core
         host — it pins the scheduler's concurrency, not the host's.
         """
         backend = ProcessBackend(workers=3)
-        try:
-            start = time.perf_counter()
-            results = backend.map(lambda x: (time.sleep(0.3), x)[1], list(range(6)))
-            elapsed = time.perf_counter() - start
-            assert results == list(range(6))
-            assert elapsed < 1.4  # serial would be ~1.8 s
-        finally:
-            backend.shutdown()
+        start = time.perf_counter()
+        results = backend.map(lambda x: (time.sleep(0.3), x)[1], list(range(6)))
+        elapsed = time.perf_counter() - start
+        assert results == list(range(6))
+        assert elapsed < 1.4  # serial would be ~1.8 s
 
     def test_chronically_dying_workers_raise(self):
-        import signal
-
         def die(x):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        backend = ProcessBackend(workers=2)
-        try:
-            with pytest.raises(RuntimeError, match="respawn"):
-                backend.map(die, list(range(6)))
-        finally:
-            backend.shutdown()
+        outcome = {}
+
+        def run():
+            try:
+                ProcessBackend(workers=2).map(die, list(range(6)))
+            except BrokenProcessPool as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "process map hung on chronic worker death"
+        assert "kept dying" in str(outcome["error"])
+        assert f"{MAX_MAP_RESTARTS + 1} executors" in str(outcome["error"])
 
     def test_worker_time_attributed_through_pool(self):
-        backend = ProcessBackend(workers=2)
-        try:
-            timer = StageTimer()
-            backend.map(
-                _pooled_pid_task, list(range(6)), timer=timer, stage="pooled"
-            )
-            assert timer.worker_as_dict()["pooled"] > 0.0
-        finally:
-            backend.shutdown()
+        timer = StageTimer()
+        ProcessBackend(workers=2).map(
+            _pooled_pid_task, list(range(6)), timer=timer, stage="pooled"
+        )
+        assert timer.worker_as_dict()["pooled"] > 0.0
 
     def test_repeated_engine_renders_stay_bit_identical(self, two_object_scene):
         """Engine maps through one backend instance: parity across repeats.
 
-        Consecutive renders re-use or re-fork the pool depending on closure
-        identity; either way the images must match the serial reference
-        exactly every time.
+        Every render forks its own executors; the images must match the
+        serial reference exactly every time.
         """
         cameras = orbit_cameras(
             two_object_scene.center,
@@ -597,59 +558,37 @@ class TestPersistentPool:
         reference = RenderEngine(chunk_rays=193, backend=SerialBackend()).render_scene(
             two_object_scene, cameras[0]
         )
-        backend = ProcessBackend(workers=2)
-        try:
-            engine = RenderEngine(chunk_rays=193, backend=backend)
-            for _ in range(3):
-                assert_results_identical(
-                    reference, engine.render_scene(two_object_scene, cameras[0])
-                )
-        finally:
-            backend.shutdown()
+        engine = RenderEngine(chunk_rays=193, backend=ProcessBackend(workers=2))
+        for _ in range(3):
+            assert_results_identical(
+                reference, engine.render_scene(two_object_scene, cameras[0])
+            )
 
 
 # ---------------------------------------------------------------------------
-# Process backend: the sharded-map contract on its daemon fleet
+# Process backend: the sharded-map contract
 # ---------------------------------------------------------------------------
 #
-# The process backend runs every map on a fleet of forked worker daemons
-# (:class:`repro.exec.worker.WorkerHost`).  These tests pin what a sharded
-# evaluation relies on: results come back ordered and inherit the caller's
-# closures, a one-item map stays in the caller, worker-side state dies with
-# the worker, worker seconds land on the caller's stage, a failing task
-# surfaces its own exception without wedging the backend, and a killed
-# worker's item is retried on a replacement daemon.
-
-
-@pytest.fixture
-def make_backend():
-    """Build process backends and reap their daemons after the test."""
-    backends = []
-
-    def build(workers):
-        backend = ProcessBackend(workers=workers)
-        backends.append(backend)
-        return backend
-
-    yield build
-    for backend in backends:
-        backend.shutdown()
+# These tests pin what a sharded evaluation relies on: results come back
+# ordered and inherit the caller's closures, a one-item map stays in the
+# caller, worker-side state dies with the worker, worker seconds land on
+# the caller's stage, a failing task surfaces its own exception without
+# wedging the backend, and a killed worker's item is re-run on a fresh
+# executor.
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 class TestProcessBackendMap:
-    def test_ordered_results_and_closure_inheritance(self, make_backend):
-        backend = make_backend(3)
+    def test_ordered_results_and_closure_inheritance(self):
+        backend = ProcessBackend(workers=3)
         weights = np.arange(64, dtype=np.float64)  # closures never pickle
         items = list(range(64))
         assert backend.map(lambda x: float(weights[x] + x), items) == [
             float(2 * x) for x in items
         ]
-        assert backend.host.maps == 1
-        assert backend.host.spawn_count == 3
 
-    def test_single_item_falls_back_to_serial(self, make_backend):
-        backend = make_backend(4)
+    def test_single_item_falls_back_to_serial(self):
+        backend = ProcessBackend(workers=4)
         state = {"touched": False}
 
         def task(x):
@@ -658,10 +597,9 @@ class TestProcessBackendMap:
 
         assert backend.map(task, [7]) == [7]
         assert state["touched"]  # ran in this process
-        assert backend.host.maps == 0 and backend.host.spawn_count == 0
 
-    def test_side_effects_stay_in_workers(self, make_backend):
-        backend = make_backend(2)
+    def test_side_effects_stay_in_workers(self):
+        backend = ProcessBackend(workers=2)
         state = {"count": 0}
 
         def task(x):
@@ -671,8 +609,8 @@ class TestProcessBackendMap:
         assert backend.map(task, [1, 2, 3, 4]) == [2, 3, 4, 5]
         assert state["count"] == 0
 
-    def test_worker_seconds_attributed_to_stage(self, make_backend):
-        backend = make_backend(2)
+    def test_worker_seconds_attributed_to_stage(self):
+        backend = ProcessBackend(workers=2)
         timer = StageTimer()
         backend.map(
             lambda x: sum(range(4000)), list(range(8)), timer=timer, stage="shards"
@@ -680,8 +618,8 @@ class TestProcessBackendMap:
         assert timer.worker_as_dict()["shards"] > 0.0
         assert timer.as_dict() == {}  # wall-clock stays the caller's
 
-    def test_task_exception_propagates(self, make_backend):
-        backend = make_backend(2)
+    def test_task_exception_propagates(self):
+        backend = ProcessBackend(workers=2)
 
         def boom(x):
             if x == 5:
@@ -696,7 +634,7 @@ class TestProcessBackendMap:
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 class TestProcessBackendWorkerDeath:
-    def test_killed_worker_shard_is_retried(self, make_backend, tmp_path):
+    def test_killed_worker_shard_is_retried(self, tmp_path):
         sentinel = tmp_path / "killed-once"
 
         def task(x):
@@ -705,7 +643,7 @@ class TestProcessBackendWorkerDeath:
                 os.kill(os.getpid(), signal.SIGKILL)
             return ("ok", x)
 
-        backend = make_backend(2)
+        backend = ProcessBackend(workers=2)
         items = [0, 1, "kill", 3, 4, 5, 6, 7]
         outcome = {}
 
@@ -717,9 +655,7 @@ class TestProcessBackendWorkerDeath:
         thread.join(timeout=60.0)
         assert not thread.is_alive(), "process map hung after a worker kill"
         assert outcome["results"] == [("ok", item) for item in items]
-        assert backend.worker_revivals >= 1
-        # A replacement daemon was forked beyond the initial set.
-        assert backend.host.spawn_count >= 3
+        assert sentinel.exists()  # a worker really was killed
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ TINY_CONFIG = PipelineConfig(
     num_eval_views=1,
     num_fps_frames=200,
     object_eval_resolution=64,
-    apply_degradation=True,
 )
 
 

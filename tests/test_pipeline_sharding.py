@@ -4,7 +4,7 @@ Pins the pipeline's one profile path on the process backend: the staged
 pipeline's timing-free record (profile state included) is byte-identical
 to the serial reference with 1, 2 and 5 workers; a store-backed run
 followed by a warm run recomputes no profile; several pending objects are
-profiled in one daemon map (one object per item); and a lone pending
+profiled in one process map (one object per item); and a lone pending
 object is fitted in-process, its sample measurements fanning out instead.
 """
 
@@ -56,17 +56,20 @@ def _solo_dataset():
     )
 
 
-def _spy_host_runs(backend) -> list:
-    """Record the items of every map the backend's worker host serves."""
-    calls = []
-    run = backend.host.run
+def _spy_maps(backend) -> list:
+    """Record the items of every map this process hands the backend.
 
-    def spy(fn, items):
+    Maps nested inside a forked worker append to the worker's copy of the
+    list, so only the caller's own maps are recorded."""
+    calls = []
+    run = backend.map
+
+    def spy(fn, items, **kwargs):
         items = list(items)
         calls.append(items)
-        return run(fn, items)
+        return run(fn, items, **kwargs)
 
-    backend.host.run = spy
+    backend.map = spy
     return calls
 
 
@@ -85,10 +88,7 @@ class TestGoldenRecordParity:
     @pytest.mark.parametrize("workers", [1, 2, 5], ids=lambda w: f"w{w}")
     def test_process_matches_serial_bit_identically(self, serial_record, workers):
         backend = ProcessBackend(workers=workers)
-        try:
-            record = report_record(_golden_pipeline(backend).run(golden_dataset()))
-        finally:
-            backend.shutdown()
+        record = report_record(_golden_pipeline(backend).run(golden_dataset()))
         assert record == serial_record
 
     def test_warm_store_run_recomputes_no_profile(
@@ -100,18 +100,15 @@ class TestGoldenRecordParity:
         monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
         root = str(tmp_path / "store")
         backend = ProcessBackend(workers=2)
-        try:
-            cold = ArtifactStore(disk=DiskArtifactStore(root))
-            run = _golden_pipeline(backend, artifacts=cold).run(golden_dataset())
-            assert report_record(run) == serial_record
-            assert cold.disk.stats.puts > 0
+        cold = ArtifactStore(disk=DiskArtifactStore(root))
+        run = _golden_pipeline(backend, artifacts=cold).run(golden_dataset())
+        assert report_record(run) == serial_record
+        assert cold.disk.stats.puts > 0
 
-            warm = ArtifactStore(disk=DiskArtifactStore(root))
-            run = _golden_pipeline(backend, artifacts=warm).run(golden_dataset())
-            assert report_record(run) == serial_record
-            assert warm.recompute_by_kind().get("profile", 0) == 0
-        finally:
-            backend.shutdown()
+        warm = ArtifactStore(disk=DiskArtifactStore(root))
+        run = _golden_pipeline(backend, artifacts=warm).run(golden_dataset())
+        assert report_record(run) == serial_record
+        assert warm.recompute_by_kind().get("profile", 0) == 0
 
 
 @needs_fork
@@ -122,15 +119,12 @@ class TestProfileSharding:
         assert len(reference) >= 2
 
         backend = ProcessBackend(workers=2)
-        try:
-            pipeline = _golden_pipeline(backend)
-            segmentation = pipeline.stage_segment(dataset)
-            calls = _spy_host_runs(backend)
-            _, _, profiles = pipeline.stage_profile(dataset, segmentation)
-        finally:
-            backend.shutdown()
+        pipeline = _golden_pipeline(backend)
+        segmentation = pipeline.stage_segment(dataset)
+        calls = _spy_maps(backend)
+        _, _, profiles = pipeline.stage_profile(dataset, segmentation)
         # One map, one sub-scene per item; the measurement maps nested in
-        # each fit ran serially inside the daemons.
+        # each fit ran serially inside the workers.
         assert [len(items) for items in calls] == [len(segmentation.sub_scenes)]
         assert [profile.state_tuple() for profile in profiles] == reference
 
@@ -140,13 +134,10 @@ class TestProfileSharding:
         assert len(reference) == 1
 
         backend = ProcessBackend(workers=2)
-        try:
-            pipeline = _golden_pipeline(backend)
-            segmentation = pipeline.stage_segment(dataset)
-            calls = _spy_host_runs(backend)
-            _, _, profiles = pipeline.stage_profile(dataset, segmentation)
-        finally:
-            backend.shutdown()
+        pipeline = _golden_pipeline(backend)
+        segmentation = pipeline.stage_segment(dataset)
+        calls = _spy_maps(backend)
+        _, _, profiles = pipeline.stage_profile(dataset, segmentation)
         measurement_maps = [
             items
             for items in calls

@@ -836,15 +836,9 @@ class TestEngineCrossKernelParity:
         serial = RenderEngine(kernel=backend, chunk_rays=200).render_baked_rays(
             baked_models, origins, directions
         )
-        forked_engine = RenderEngine(
+        forked = RenderEngine(
             kernel=backend, chunk_rays=200, backend="process", workers=2
-        )
-        try:
-            forked = forked_engine.render_baked_rays(
-                baked_models, origins, directions
-            )
-        finally:
-            forked_engine.backend.shutdown()
+        ).render_baked_rays(baked_models, origins, directions)
         assert_buffers_identical(serial, forked, atol=0.0)
 
 
